@@ -45,7 +45,7 @@ __all__ = [
     "broadcast_rows",
     "broadcast_cols",
     "masked_sum",
-    "entry",
+    "weighted_sum",
     "finite_difference_check",
 ]
 
@@ -67,7 +67,7 @@ class Node:
 
     def __init__(self, value: np.ndarray, parents: tuple, op: str, tape: "Tape"):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None  # allocated by Tape.backward
         self.parents = parents
         self.op = op
         self.tape = tape
@@ -510,15 +510,25 @@ def masked_sum(a: Node, mask) -> Node:
     return out
 
 
-def entry(a: Node, i: int, j: int) -> Node:
-    """Extract a single entry as a 1x1 node."""
-    m, n = a.value.shape
-    if not (0 <= i < m and 0 <= j < n):
-        raise ParameterError(f"entry: index ({i}, {j}) out of range for shape {a.value.shape}")
-    out = Node(np.array([[a.value[i, j]]]), (a,), "entry", a.tape)
+def weighted_sum(c: Node, mats) -> Node:
+    """Fixed matrices mixed by a 1xK coefficient row: sum_i c[0, i] * mats[i]."""
+    consts = [as_matrix(x) for x in mats]
+    if not consts or c.value.shape != (1, len(consts)):
+        raise ShapeError(
+            f"weighted_sum: coefficients of shape {c.value.shape} do not match "
+            f"{len(consts)} matrices"
+        )
+    if any(x.shape != consts[0].shape for x in consts):
+        raise ShapeError(
+            f"weighted_sum: matrix shapes {[x.shape for x in consts]} do not conform"
+        )
+    acc = c.value[0, 0] * consts[0]
+    for i in range(1, len(consts)):
+        acc += c.value[0, i] * consts[i]
+    out = Node(acc, (c,), "weighted_sum", c.tape)
 
     def _bw(g):
-        a.grad[i, j] += g[0, 0]
+        c.grad += np.array([[np.vdot(x, g) for x in consts]])
 
     out._backward = _bw
     return out

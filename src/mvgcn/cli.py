@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tape
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .data import load_dataset
 from .errors import ConfigError, DataLoadError, TrainingError
@@ -29,6 +30,7 @@ from .experiment import (
     run_repeats,
     run_sweep,
 )
+from .fusion import normalize_weights, view_importance
 from .graphs import METRICS, Graph
 from .model import evaluate, load_checkpoint, predict, save_checkpoint
 
@@ -104,12 +106,9 @@ def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
 
 
 def _fusion_summary(state) -> dict:
-    # softmax rows of the raw weights, importances as column mass shares
-    raw = state.params["raw_weights"]
-    shifted = np.exp(raw - raw.max(axis=1, keepdims=True))
-    W = shifted / shifted.sum(axis=1, keepdims=True)
-    alpha = W.sum(axis=0) / W.sum()
-    return {"weights": W.tolist(), "importance": alpha.tolist()}
+    W = normalize_weights(Tape().leaf(state.params["raw_weights"]))
+    alpha = view_importance(W)
+    return {"weights": W.value.tolist(), "importance": alpha.value[0].tolist()}
 
 
 def write_run_artifacts(out_dir, dataset_name: str, cfg: RunConfig, metrics) -> None:

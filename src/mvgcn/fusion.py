@@ -1,10 +1,12 @@
 """Trainable fusion of per-view graphs into a single adjacency.
 
-A square mixing matrix passes through a row softmax, each view then gets a
-complementary graph formed as that row's weighted sum over all views, and the
-final adjacency averages the complementary graphs by per-view importance
-(normalized column sums of the mixing weights). Everything stays on the tape
-so gradients reach the raw mixing weights.
+A square mixing matrix W passes through a row softmax. Each view v gets a
+complementary graph sum_i W[v, i] * A_i, and the fused adjacency averages the
+complementary graphs by per-view importance alpha (normalized column sums of
+W). That average is linear in the views, so the tape records it as a single
+weighted sum, fused = sum_i c_i * A_i with coefficients c = alpha @ W; the
+gradient reaches the raw mixing weights through c. The complementary graphs
+themselves are computed as plain values, for inspection only.
 """
 
 from dataclasses import dataclass
@@ -17,13 +19,6 @@ from .errors import ParameterError, ShapeError
 from .graphs import Graph
 
 
-def _scale_const(s: Node, const: np.ndarray) -> Node:
-    # 1x1 node times a fixed matrix, via explicit tiling
-    m, n = const.shape
-    tiled = ad.broadcast_cols(ad.broadcast_rows(s, m), n)
-    return ad.mul_const(tiled, const)
-
-
 def normalize_weights(raw: Node) -> Node:
     """Row-stochastic mixing weights from unconstrained ones."""
     rows, cols = raw.value.shape
@@ -32,8 +27,7 @@ def normalize_weights(raw: Node) -> Node:
     return ad.softmax_rows(raw)
 
 
-def complementary_graphs(views: list[Graph], W: Node) -> list[Node]:
-    """One weighted-sum graph per view: out[v] = sum_i W[v, i] * A_i."""
+def _check_views(views: list[Graph], W: Node) -> None:
     V = len(views)
     if V == 0:
         raise ParameterError("need at least one view")
@@ -49,13 +43,15 @@ def complementary_graphs(views: list[Graph], W: Node) -> list[Node]:
             )
         if not g.renormalized:
             raise ParameterError("fusion expects renormalized per-view graphs")
-    outs = []
-    for v in range(V):
-        acc = _scale_const(ad.entry(W, v, 0), views[0].adjacency)
-        for i in range(1, V):
-            acc = ad.add(acc, _scale_const(ad.entry(W, v, i), views[i].adjacency))
-        outs.append(acc)
-    return outs
+
+
+def complementary_graphs(views: list[Graph], W: Node) -> list[np.ndarray]:
+    """One weighted-sum graph per view, out[v] = sum_i W[v, i] * A_i, as
+    plain arrays (off the tape)."""
+    _check_views(views, W)
+    return [
+        sum(w * g.adjacency for w, g in zip(row, views)) for row in W.value
+    ]
 
 
 def view_importance(W: Node) -> Node:
@@ -64,35 +60,22 @@ def view_importance(W: Node) -> Node:
     return ad.div(totals, ad.sum_all(totals))
 
 
-def fuse(complementary: list[Node], alpha: Node) -> Node:
-    """Importance-weighted average of the complementary graphs."""
-    if alpha.value.shape != (1, len(complementary)):
-        raise ShapeError(
-            f"importance shape {alpha.value.shape} does not match "
-            f"{len(complementary)} graphs"
-        )
-    acc = ad.mul(ad.entry(alpha, 0, 0), complementary[0])
-    for i in range(1, len(complementary)):
-        acc = ad.add(acc, ad.mul(ad.entry(alpha, 0, i), complementary[i]))
-    return acc
-
-
 @dataclass
 class FusionResult:
-    """Tape nodes for every stage of the fusion cascade."""
+    """Tape nodes for the mixing weights, the importances and the fused graph."""
 
     weights: Node
     importance: Node
-    complementary: list[Node]
     fused: Node
 
 
 def fuse_views(views: list[Graph], raw: Node) -> FusionResult:
     """Full cascade from raw mixing weights to the fused adjacency."""
     W = normalize_weights(raw)
-    comp = complementary_graphs(views, W)
+    _check_views(views, W)
     alpha = view_importance(W)
-    return FusionResult(W, alpha, comp, fuse(comp, alpha))
+    fused = ad.weighted_sum(ad.matmul(alpha, W), [g.adjacency for g in views])
+    return FusionResult(W, alpha, fused)
 
 
 def init_fusion_weights(num_views: int) -> np.ndarray:

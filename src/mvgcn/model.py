@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
+from .config import DNS_MODES as CONFIG_DNS_MODES
 from .errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from .fusion import FusionResult, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
@@ -27,7 +28,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_CLAMP = 1e-12
-DNS_MODES = ("soft", "hard-topk", "off")
+DNS_MODES = CONFIG_DNS_MODES + ("off",)  # "off" is a config with dns=False
 CHECKPOINT_FORMAT = 1
 
 

@@ -109,6 +109,8 @@ class TestBackward:
         assert err <= 1e-6
 
 
+WEIGHTED_MATS = list(np.linspace(-1, 1, 64).reshape(4, 4, 4))
+
 PRIMITIVE_BUILDERS = {
     "matmul": lambda t, ls: ad.sum_all(ad.softmax_rows(ad.matmul(ls[0], ls[1]))),
     "transpose": lambda t, ls: ad.sum_all(ad.mul(ad.transpose(ls[0]), ls[1])),
@@ -143,7 +145,9 @@ PRIMITIVE_BUILDERS = {
     "masked_sum": lambda t, ls: ad.sigmoid(
         ad.masked_sum(ls[0], np.eye(4))
     ),
-    "entry": lambda t, ls: ad.sigmoid(ad.mul(ad.entry(ls[0], 1, 2), ad.entry(ls[1], 0, 3))),
+    "weighted_sum": lambda t, ls: ad.sum_all(
+        ad.sigmoid(ad.mul(ad.weighted_sum(ad.col_sum(ls[0]), WEIGHTED_MATS), ls[1]))
+    ),
     "scalar_broadcast_binary": lambda t, ls: ad.sum_all(
         ad.sigmoid(ad.div(ad.sub(ls[0], ad.max_all(ls[1])), ad.sum_all(ad.mul(ls[1], ls[1]))))
     ),
@@ -189,6 +193,11 @@ class TestErrors:
             ad.matmul(a, b)
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             ad.add(a, b)
+        c = tape.leaf(np.ones((1, 2)))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            ad.weighted_sum(c, [a.value, b.value])
+        with pytest.raises(ShapeError, match=r"\(1, 2\).*3 matrices"):
+            ad.weighted_sum(c, [a.value] * 3)
 
     def test_log_domain_error(self):
         tape = ad.Tape()

@@ -8,7 +8,6 @@ from mvgcn.autodiff import Tape
 from mvgcn.errors import ParameterError, ShapeError
 from mvgcn.fusion import (
     complementary_graphs,
-    fuse,
     fuse_views,
     init_fusion_weights,
     normalize_weights,
@@ -17,6 +16,8 @@ from mvgcn.fusion import (
 from mvgcn.graphs import Graph
 
 import oracles
+
+VIEW_STAGES = (complementary_graphs, fuse_views)
 
 
 def random_views(rng, num_views, m):
@@ -62,7 +63,7 @@ class TestComplementaryGraphs:
         tape = Tape()
         W = normalize_weights(tape.leaf(np.zeros((1, 1))))
         (out,) = complementary_graphs(views, W)
-        assert np.array_equal(out.value, views[0].adjacency)
+        assert np.array_equal(out, views[0].adjacency)
 
     def test_selector_row_copies_one_view(self):
         rng = np.random.default_rng(2)
@@ -70,8 +71,8 @@ class TestComplementaryGraphs:
         tape = Tape()
         W = tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))
         outs = complementary_graphs(views, W)
-        assert np.array_equal(outs[0].value, views[0].adjacency)
-        assert np.array_equal(outs[1].value, views[1].adjacency)
+        assert np.array_equal(outs[0], views[0].adjacency)
+        assert np.array_equal(outs[1], views[1].adjacency)
 
     def test_random_case_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -83,26 +84,31 @@ class TestComplementaryGraphs:
         tape = Tape()
         outs = complementary_graphs(views, normalize_weights(tape.leaf(raw)))
         for got, want in zip(outs, comp_want):
-            assert got.value == pytest.approx(np.array(want), abs=1e-12)
+            assert got == pytest.approx(np.array(want), abs=1e-12)
 
+    # Each rejection test runs on both entry points that validate the views;
+    # fuse_views receives the same leaf as its raw mixing weights.
     def test_mismatched_node_counts_rejected(self):
         rng = np.random.default_rng(4)
         views = random_views(rng, 1, 4) + random_views(rng, 1, 5)
-        tape = Tape()
-        W = tape.leaf(np.full((2, 2), 0.5))
-        with pytest.raises(ShapeError):
-            complementary_graphs(views, W)
+        for stage in VIEW_STAGES:
+            tape = Tape()
+            W = tape.leaf(np.full((2, 2), 0.5))
+            with pytest.raises(ShapeError):
+                stage(views, W)
 
     def test_unrenormalized_views_rejected(self):
         views = [Graph(np.zeros((3, 3)))]
-        tape = Tape()
-        with pytest.raises(ParameterError):
-            complementary_graphs(views, tape.leaf(np.ones((1, 1))))
+        for stage in VIEW_STAGES:
+            tape = Tape()
+            with pytest.raises(ParameterError):
+                stage(views, tape.leaf(np.ones((1, 1))))
 
     def test_no_views_rejected(self):
-        tape = Tape()
-        with pytest.raises(ParameterError):
-            complementary_graphs([], tape.leaf(np.ones((1, 1))))
+        for stage in VIEW_STAGES:
+            tape = Tape()
+            with pytest.raises(ParameterError):
+                stage([], tape.leaf(np.ones((1, 1))))
 
 
 class TestViewImportance:
@@ -155,14 +161,27 @@ class TestFuse:
         res = fuse_views(views, tape.leaf(raw))
         assert res.fused.value == pytest.approx(np.array(fused_want), abs=1e-12)
 
-    def test_importance_shape_mismatch_rejected(self):
+    def test_fused_is_importance_weighted_complementary_graphs(self):
         rng = np.random.default_rng(9)
-        views = random_views(rng, 2, 3)
+        views = random_views(rng, 3, 6)
         tape = Tape()
-        W = normalize_weights(tape.leaf(np.zeros((2, 2))))
-        comp = complementary_graphs(views, W)
-        with pytest.raises(ShapeError):
-            fuse(comp, tape.leaf(np.array([[1.0, 0.0, 0.0]])))
+        res = fuse_views(views, tape.leaf(rng.normal(size=(3, 3))))
+        comp = complementary_graphs(views, res.weights)
+        want = sum(a * c for a, c in zip(res.importance.value[0], comp))
+        assert np.max(np.abs(res.fused.value - want)) <= 1e-12
+
+    @pytest.mark.parametrize("num_views", [1, 2, 4])
+    def test_tape_holds_one_mxm_node(self, num_views):
+        rng = np.random.default_rng(16)
+        m = 5
+        views = random_views(rng, num_views, m)
+        tape = Tape()
+        raw = tape.leaf(rng.normal(size=(num_views, num_views)))
+        before = len(tape.nodes)
+        fuse_views(views, raw)
+        added = tape.nodes[before:]
+        assert len(added) == 6
+        assert sum(n.value.shape == (m, m) for n in added) == 1
 
 
 class TestFusionProperties:
