@@ -3,7 +3,10 @@
 Values are 2-D float64 numpy arrays throughout; vectors are represented as
 1xN or Nx1 matrices. Forward values are computed eagerly and every operation
 appends a node to a :class:`Tape`; calling ``tape.backward(loss)`` on a 1x1
-loss node fills in ``node.grad`` for everything on the tape.
+loss node fills in ``node.grad`` for everything on the tape, and
+``tape.release()`` then frees the tape without waiting for the cyclic
+collector. A :class:`NoGradTape` computes the same values and records
+nothing, for forward passes that need no gradient.
 
 Elementwise binary operations accept operands of identical shape, or allow
 one side to be 1x1 (broadcast as a scalar). Row/column vectors are broadcast
@@ -20,6 +23,7 @@ from .errors import DomainError, ParameterError, ShapeError
 __all__ = [
     "Node",
     "Tape",
+    "NoGradTape",
     "matmul",
     "transpose",
     "add",
@@ -63,16 +67,28 @@ def as_matrix(value) -> np.ndarray:
 class Node:
     """One value on the tape: a matrix, its gradient, and its backward rule."""
 
-    __slots__ = ("value", "grad", "parents", "op", "tape", "_backward")
+    __slots__ = ("value", "grad", "parents", "op", "tape", "_rule")
 
     def __init__(self, value: np.ndarray, parents: tuple, op: str, tape: "Tape"):
         self.value = value
         self.grad = None  # allocated by Tape.backward
-        self.parents = parents
+        self.parents = parents if tape.record else ()
         self.op = op
         self.tape = tape
-        self._backward = None
-        tape._append(self)
+        self._rule = None
+        if tape.record:
+            tape._append(self)
+
+    @property
+    def _backward(self):
+        return self._rule
+
+    @_backward.setter
+    def _backward(self, rule):
+        # the rule closes over the parents; a tape that records nothing
+        # drops it so that each parent is freed once it is no longer used
+        if self.tape.record:
+            self._rule = rule
 
     @property
     def shape(self) -> tuple:
@@ -122,6 +138,8 @@ class Node:
 class Tape:
     """Ordered record of nodes; reverse iteration visits consumers first."""
 
+    record = True
+
     def __init__(self):
         self.nodes: list[Node] = []
 
@@ -142,6 +160,8 @@ class Tape:
         (zero for nodes the loss does not depend on) and returns a map from
         each leaf node to its gradient array.
         """
+        if not self.record:
+            raise ValueError("a NoGradTape records nothing to differentiate")
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if loss.value.shape != (1, 1):
@@ -153,6 +173,28 @@ class Tape:
             if node._backward is not None:
                 node._backward(node.grad)
         return {node: node.grad for node in self.nodes if not node.parents}
+
+    def release(self) -> None:
+        """Drop every node's backward rule and gradient, and empty the tape.
+
+        Each backward rule is a closure over its output node, and every node
+        points at its tape, so a finished tape is a reference cycle that only
+        the cyclic collector frees, at moments set by unrelated allocations.
+        Breaking the links frees the arrays as soon as the caller drops its
+        last reference to them. Node values stay readable.
+        """
+        for node in self.nodes:
+            node._backward = None
+            node.grad = None
+        self.nodes.clear()
+
+
+class NoGradTape(Tape):
+    """A tape for forward passes that need no gradient. It records no nodes,
+    and its nodes keep neither parents nor backward rules, so every
+    intermediate value is freed as soon as nothing downstream holds it."""
+
+    record = False
 
 
 def _same_tape(a: Node, b: Node, op: str) -> Tape:

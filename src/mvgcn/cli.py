@@ -30,6 +30,7 @@ from .experiment import (
     run_repeats,
     run_sweep,
 )
+from .fileio import atomic_open
 from .fusion import normalize_weights, view_importance
 from .graphs import METRICS, Graph
 from .model import evaluate, load_checkpoint, predict, save_checkpoint
@@ -43,13 +44,12 @@ GRAPH_MANIFEST = "manifest.json"
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -167,12 +167,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(state, dataset, features: np.ndarray) -> None:
+    """The model is transductive: its shapes pin the view count, the node
+    count and the feature width of the dataset it was trained on."""
+    V, m, d = dataset.num_views, dataset.num_samples, features.shape[1]
+    for name, want, what in (
+        ("raw_weights", (V, V), "views"),
+        ("S1", (m, m), "samples"),
+        ("W1", (d,), "feature columns"),
+    ):
+        if name not in state.params:
+            raise DataLoadError(f"checkpoint has no parameter {name!r}")
+        shape = state.params[name].shape
+        if shape[: len(want)] != want:
+            raise DataLoadError(
+                f"checkpoint was trained on {shape[0]} {what} ({name} has shape "
+                f"{shape}) but the dataset has {want[0]}"
+            )
+
+
 def cmd_eval(args) -> int:
     state, config = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(config)
     dataset = load_dataset(args.data)
+    features = feature_matrix(dataset)
+    _check_checkpoint_fits(state, dataset, features)
     graphs = prepare_graphs(dataset, cfg.k, cfg.metric)
-    Z = predict(state, graphs, feature_matrix(dataset), **forward_settings(cfg))
+    Z = predict(state, graphs, features, **forward_settings(cfg))
     accuracy = evaluate(Z, dataset.labels, np.arange(dataset.num_samples))
     print(
         json.dumps(

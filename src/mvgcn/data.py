@@ -9,6 +9,7 @@ reproduces float64 arrays exactly.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,11 +57,14 @@ def _read_matrix(path: Path) -> np.ndarray:
                     f"{path}: line {lineno}: expected {width} columns, found {len(row)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
                 raise DataLoadError(
                     f"{path}: line {lineno}: non-numeric cell"
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise DataLoadError(f"{path}: line {lineno}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise DataLoadError(f"{path}: file is empty")
     return np.array(rows, dtype=float)

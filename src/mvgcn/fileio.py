@@ -1,0 +1,27 @@
+"""Atomic artifact writes.
+
+A file is written to a temporary sibling in the same directory and moved
+over its target with ``os.replace`` only once writing has finished. A reader
+sees either the previous file or the complete new one, never a partial
+write, and a failure part-way through leaves the previous file untouched.
+"""
+
+import os
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Text handle (UTF-8) whose contents replace ``path`` when the block
+    exits normally; on any exception the temporary file is removed."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -7,8 +7,17 @@ labeled rows. Training is full batch: one tape per iteration, one Adam step
 per tape. A model is a flat name-to-array parameter registry so the
 optimizer, the checkpoint format, and the gradient checks all see the same
 thing.
+
+A checkpoint (format 2) is one JSON object: ``format``, ``step``,
+``config`` and its ``config_hash``, and three sections (``params``,
+``first_moment``, ``second_moment``) mapping each parameter name to
+``{"shape": [rows, cols], "data": <base64 of the little-endian float64
+bytes, row-major>}``. The encoding is exact and byte-stable across reruns,
+and loading it runs no code. Format-1 files (nested number lists) are
+refused.
 """
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass
@@ -16,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape
+from .autodiff import NoGradTape, Node, Tape
 from .config import DNS_MODES as CONFIG_DNS_MODES
 from .errors import DataLoadError, ParameterError, ShapeError, TrainingError
+from .fileio import atomic_open
 from .fusion import FusionResult, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
 from .graphs import Graph
@@ -29,7 +39,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_CLAMP = 1e-12
 DNS_MODES = CONFIG_DNS_MODES + ("off",)  # "off" is a config with dns=False
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+CHECKPOINT_SECTIONS = ("params", "first_moment", "second_moment")
 
 
 @dataclass
@@ -299,6 +310,7 @@ def train(
         tape.backward(loss)
         grads = {name: leaf.grad for name, leaf in leaves.items()}
         adam_step(state, grads, lr)
+        tape.release()
         history.append(
             (
                 iteration,
@@ -317,7 +329,7 @@ def predict(
     **forward_kwargs,
 ) -> np.ndarray:
     """Class probabilities under the given parameters, off the training loop."""
-    tape = Tape()
+    tape = NoGradTape()
     leaves = {name: tape.leaf(p) for name, p in state.params.items()}
     return forward(tape, leaves, views, features, **forward_kwargs).probabilities.value
 
@@ -333,35 +345,86 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    data = np.asarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(section: str, name: str, entry) -> np.ndarray:
+    where = f"checkpoint {section} {name!r}"
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise DataLoadError(f"{where}: expected an object with 'shape' and 'data'")
+    shape = entry["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise DataLoadError(f"{where}: shape must be two non-negative integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError):
+        raise DataLoadError(f"{where}: data is not valid base64") from None
+    rows, cols = shape
+    if len(raw) != 8 * rows * cols:
+        raise DataLoadError(
+            f"{where}: data holds {len(raw)} bytes, shape {rows}x{cols} needs {8 * rows * cols}"
+        )
+    array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    if not np.isfinite(array).all():
+        raise DataLoadError(f"{where}: contains non-finite values")
+    return array
+
+
 def save_checkpoint(path, state: ModelState, config: dict) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "step": state.step,
-        "config": config,
-        "config_hash": config_digest(config),
-        "params": {k: v.tolist() for k, v in state.params.items()},
-        "first_moment": {k: v.tolist() for k, v in state.first_moment.items()},
-        "second_moment": {k: v.tolist() for k, v in state.second_moment.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    with atomic_open(path) as fh:
+        payload = {
+            "format": CHECKPOINT_FORMAT,
+            "step": state.step,
+            "config": config,
+            "config_hash": config_digest(config),
+        }
+        for section in CHECKPOINT_SECTIONS:
+            arrays = getattr(state, section)
+            payload[section] = {k: _encode_array(v) for k, v in arrays.items()}
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    for key in ("format", "step", "config", "config_hash", "params", "first_moment", "second_moment"):
+    if not isinstance(payload, dict):
+        raise DataLoadError("checkpoint is not a JSON object")
+    for key in ("format", "step", "config", "config_hash") + CHECKPOINT_SECTIONS:
         if key not in payload:
             raise DataLoadError(f"checkpoint is missing field {key!r}")
     if payload["format"] != CHECKPOINT_FORMAT:
-        raise DataLoadError(f"unsupported checkpoint format {payload['format']!r}")
+        raise DataLoadError(
+            f"unsupported checkpoint format {payload['format']!r}; this version reads "
+            f"format {CHECKPOINT_FORMAT} only, retrain to write a new checkpoint"
+        )
     if config_digest(payload["config"]) != payload["config_hash"]:
         raise DataLoadError("checkpoint config hash does not match its config")
 
-    def arrays(section):
-        return {k: np.asarray(v, dtype=float) for k, v in payload[section].items()}
-
-    state = ModelState(
-        arrays("params"), arrays("first_moment"), arrays("second_moment"), payload["step"]
-    )
+    sections = {}
+    for section in CHECKPOINT_SECTIONS:
+        if not isinstance(payload[section], dict):
+            raise DataLoadError(f"checkpoint {section} is not an object")
+        sections[section] = {
+            k: _decode_array(section, k, v) for k, v in payload[section].items()
+        }
+    params = sections["params"]
+    for section in CHECKPOINT_SECTIONS[1:]:
+        moments = sections[section]
+        if set(moments) != set(params):
+            raise DataLoadError(
+                f"checkpoint {section} names {sorted(moments)} but params names {sorted(params)}"
+            )
+        for name, p in params.items():
+            if moments[name].shape != p.shape:
+                raise DataLoadError(
+                    f"checkpoint {section} {name!r} has shape {moments[name].shape}, "
+                    f"params {name!r} has {p.shape}"
+                )
+    state = ModelState(**sections, step=payload["step"])
     return state, payload["config"]

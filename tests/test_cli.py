@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from mvgcn.cli import main
+from mvgcn.cli import main, write_csv, write_json
 from mvgcn.data import make_synthetic, save_dataset
 
 
@@ -65,6 +66,7 @@ class TestTrain:
         run_cli("train", "--config", config_file, "--data", data_dir, "--out", b)
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "history_0.csv").read_bytes() == (b / "history_0.csv").read_bytes()
+        assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
 
     def test_env_var_overrides_seed(self, data_dir, config_file, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -157,6 +159,87 @@ class TestEval:
 
     def test_missing_checkpoint_exits_1(self, data_dir, tmp_path):
         assert run_cli("eval", "--checkpoint", tmp_path / "none.json", "--data", data_dir) == 1
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, data_dir, config_file, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trained")
+        run_cli("train", "--config", config_file, "--data", data_dir, "--out", out)
+        return out / "checkpoint.json"
+
+    @pytest.mark.parametrize(
+        "kwargs, sizes",
+        [
+            ({"m": 40, "num_views": 2}, ("24 samples", "has 40")),
+            ({"m": 24, "num_views": 3}, ("2 views", "has 3")),
+            ({"m": 24, "num_views": 2, "features_per_view": 6}, ("20 feature columns", "has 12")),
+        ],
+    )
+    def test_dataset_the_checkpoint_cannot_score_exits_1(
+        self, checkpoint, tmp_path, capsys, kwargs, sizes
+    ):
+        other = tmp_path / "other"
+        save_dataset(other, make_synthetic(classes=2, noise=0.2, seed=5, **kwargs))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", checkpoint, "--data", other) == 1
+        err = capsys.readouterr().err
+        for size in sizes:
+            assert size in err
+        assert "does not match adjacency" not in err
+
+    def test_format_1_checkpoint_exits_1_naming_the_format(self, checkpoint, data_dir, tmp_path, capsys):
+        payload = json.loads(checkpoint.read_text())
+        payload["format"] = 1
+        for section in ("params", "first_moment", "second_moment"):
+            payload[section] = {name: [[0.0]] for name in payload[section]}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", old, "--data", data_dir) == 1
+        assert "checkpoint format 1" in capsys.readouterr().err
+
+
+class TestInputs:
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_exits_1_naming_file_and_line(
+        self, config_file, tmp_path, capsys, cell
+    ):
+        d = tmp_path / "data"
+        save_dataset(d, make_synthetic(m=24, num_views=2, classes=2, noise=0.2, seed=3))
+        lines = (d / "view_2.csv").read_text().splitlines()
+        lines[6] = ",".join([cell] + lines[6].split(",")[1:])
+        (d / "view_2.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("train", "--config", config_file, "--data", d, "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "view_2.csv: line 7: non-finite cell" in err
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "history_0.csv"
+        write_csv(path, ["a", "b"], [[1, 2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3, 4]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["history_0.csv"]
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        write_json(path, {"accuracy": 0.5})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"accuracy": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
 
 class TestSweep:

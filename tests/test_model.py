@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -292,6 +293,20 @@ class TestTrain:
         assert [row[0] for row in result.history] == [1, 2, 3, 4, 5]
         assert result.probabilities.shape == (12, 2)
 
+    def test_train_and_predict_leave_no_cyclic_garbage(self):
+        # Each iteration's tape is freed when the next one starts, so peak
+        # memory does not depend on when the cyclic collector runs.
+        graphs, features, labels = toy_instance(16, m=12)
+        gc.collect()
+        gc.disable()
+        try:
+            result = train(graphs, features, labels, 2, [0, 6], seed=3, epochs=3, hidden=4, k=3)
+            assert gc.collect() == 0
+            predict(result.state, graphs, features, k=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_doubling_nodes_stays_within_loose_time_factor(self):
         def timed(m):
             graphs, features, labels = toy_instance(17, m=m)
@@ -375,6 +390,123 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataLoadError):
             load_checkpoint(path)
+
+    def test_arrays_are_base64_float64_with_shape(self, tmp_path):
+        import base64
+        import json
+
+        state = init_model(2, 5, 4, 3, 2, np.random.default_rng(21))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, state, {})
+        payload = json.loads(path.read_text())
+        assert payload["format"] == 2
+        entry = payload["params"]["S1"]
+        assert entry["shape"] == [5, 5]
+        raw = base64.b64decode(entry["data"], validate=True)
+        assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(5, 5), state.params["S1"])
+
+    def test_format_1_rejected_naming_the_format(self, tmp_path):
+        import json
+
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(22))
+        path = tmp_path / "model.json"
+        payload = {
+            "format": 1,
+            "step": 0,
+            "config": {},
+            "config_hash": config_digest({}),
+            "params": {k: v.tolist() for k, v in state.params.items()},
+            "first_moment": {k: v.tolist() for k, v in state.first_moment.items()},
+            "second_moment": {k: v.tolist() for k, v in state.second_moment.items()},
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataLoadError, match="format 1.*retrain"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _tampered(tmp_path, seed, edit):
+        import json
+
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(seed))
+        adam_step(state, {k: np.ones_like(v) for k, v in state.params.items()}, 0.1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, state, {})
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_garbled_base64_rejected(self, tmp_path):
+        def edit(payload):
+            data = payload["params"]["S2"]["data"]
+            payload["params"]["S2"]["data"] = data[:4] + "*!" + data[4:]
+
+        with pytest.raises(DataLoadError, match="params 'S2'.*base64"):
+            load_checkpoint(self._tampered(tmp_path, 23, edit))
+
+    def test_wrong_byte_length_rejected(self, tmp_path):
+        def edit(payload):
+            payload["first_moment"]["S1"]["shape"] = [3, 4]
+
+        with pytest.raises(DataLoadError, match="first_moment 'S1'.*72 bytes.*needs 96"):
+            load_checkpoint(self._tampered(tmp_path, 24, edit))
+
+    @pytest.mark.parametrize("shape", [[3], [3, -1], [3.0, 3], [True, 1], "3x3", None])
+    def test_malformed_shape_rejected(self, tmp_path, shape):
+        def edit(payload):
+            payload["params"]["W1"]["shape"] = shape
+
+        with pytest.raises(DataLoadError, match="params 'W1'.*shape"):
+            load_checkpoint(self._tampered(tmp_path, 25, edit))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        import base64
+
+        def edit(payload):
+            values = np.full((1, 1), bad, dtype="<f8")
+            payload["second_moment"]["raw_theta"]["data"] = base64.b64encode(
+                values.tobytes()
+            ).decode("ascii")
+
+        with pytest.raises(DataLoadError, match="second_moment 'raw_theta'.*non-finite"):
+            load_checkpoint(self._tampered(tmp_path, 26, edit))
+
+    def test_sections_disagreeing_on_names_rejected(self, tmp_path):
+        def edit(payload):
+            del payload["first_moment"]["W2"]
+
+        with pytest.raises(DataLoadError, match="first_moment.*params"):
+            load_checkpoint(self._tampered(tmp_path, 27, edit))
+
+    def test_sections_disagreeing_on_shapes_rejected(self, tmp_path):
+        def edit(payload):
+            payload["second_moment"]["S1"] = payload["second_moment"]["raw_theta"]
+
+        with pytest.raises(DataLoadError, match="second_moment 'S1'.*shape"):
+            load_checkpoint(self._tampered(tmp_path, 28, edit))
+
+    def test_failed_save_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        import mvgcn.model
+
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(29))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, {"seed": 1})
+        before = path.read_bytes()
+        encode = mvgcn.model._encode_array
+        calls = []
+
+        def failing_encode(a):
+            calls.append(a)
+            if len(calls) > 3:
+                raise RuntimeError("disk went away")
+            return encode(a)
+
+        monkeypatch.setattr(mvgcn.model, "_encode_array", failing_encode)
+        with pytest.raises(RuntimeError, match="disk went away"):
+            save_checkpoint(path, state, {"seed": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
     def test_digest_is_order_insensitive(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
