@@ -8,6 +8,11 @@ loss node fills in ``node.grad`` for everything on the tape, and
 collector. A :class:`NoGradTape` computes the same values and records
 nothing, for forward passes that need no gradient.
 
+A gradient array is created during ``backward``, when the first contribution
+reaches its node: that contribution is copied into a new array, and later
+ones are added to it, so no two nodes share a gradient buffer. A node that
+no contribution reaches gets zeros when the sweep passes it.
+
 Elementwise binary operations accept operands of identical shape, or allow
 one side to be 1x1 (broadcast as a scalar). Row/column vectors are broadcast
 only through the explicit ``broadcast_rows`` / ``broadcast_cols`` operations.
@@ -71,7 +76,7 @@ class Node:
 
     def __init__(self, value: np.ndarray, parents: tuple, op: str, tape: "Tape"):
         self.value = value
-        self.grad = None  # allocated by Tape.backward
+        self.grad = None  # created by Tape.backward on the first contribution
         self.parents = parents if tape.record else ()
         self.op = op
         self.tape = tape
@@ -167,10 +172,13 @@ class Tape:
         if loss.value.shape != (1, 1):
             raise ShapeError(f"loss must be 1x1, got shape {loss.value.shape}")
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
-        loss.grad[0, 0] = 1.0
+            node.grad = None
+        loss.grad = np.ones((1, 1))
         for node in reversed(self.nodes):
-            if node._backward is not None:
+            if node.grad is None:
+                # nothing downstream reached it, so its rule would add zeros
+                node.grad = np.zeros_like(node.value)
+            elif node._backward is not None:
                 node._backward(node.grad)
         return {node: node.grad for node in self.nodes if not node.parents}
 
@@ -213,10 +221,14 @@ def _binary_shape(a: Node, b: Node, op: str):
 
 def _accumulate(parent: Node, term: np.ndarray):
     # Scalar (1x1) operands collect the sum of the broadcast contributions.
-    if parent.value.shape == term.shape:
-        parent.grad += term
+    if parent.value.shape != term.shape:
+        term = np.array([[term.sum()]])
+    if parent.grad is None:
+        # a copy, in C order even for a transpose's g.T: the elementwise
+        # Adam update runs about a third slower on a Fortran-ordered gradient
+        parent.grad = np.array(term, order="C")
     else:
-        parent.grad += term.sum()
+        parent.grad += term
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +300,8 @@ def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, (a, b), "matmul", tape)
 
     def _bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _accumulate(a, g @ b.value.T)
+        _accumulate(b, a.value.T @ g)
 
     out._backward = _bw
     return out
@@ -305,7 +317,7 @@ def scalar_mul(a: Node, c: float) -> Node:
     out = Node(a.value * c, (a,), "scalar_mul", a.tape)
 
     def _bw(g):
-        a.grad += g * c
+        _accumulate(a, g * c)
 
     out._backward = _bw
     return out
@@ -316,7 +328,7 @@ def add_scalar(a: Node, c: float) -> Node:
     out = Node(a.value + c, (a,), "add_scalar", a.tape)
 
     def _bw(g):
-        a.grad += g
+        _accumulate(a, g)
 
     out._backward = _bw
     return out
@@ -332,7 +344,7 @@ def mul_const(a: Node, const) -> Node:
     out = Node(a.value * carr, (a,), "mul_const", a.tape)
 
     def _bw(g):
-        a.grad += g * carr
+        _accumulate(a, g * carr)
 
     out._backward = _bw
     return out
@@ -347,7 +359,7 @@ def transpose(a: Node) -> Node:
     out = Node(np.ascontiguousarray(a.value.T), (a,), "transpose", a.tape)
 
     def _bw(g):
-        a.grad += g.T
+        _accumulate(a, g.T)
 
     out._backward = _bw
     return out
@@ -357,7 +369,7 @@ def absval(a: Node) -> Node:
     out = Node(np.abs(a.value), (a,), "abs", a.tape)
 
     def _bw(g):
-        a.grad += g * np.sign(a.value)
+        _accumulate(a, g * np.sign(a.value))
 
     out._backward = _bw
     return out
@@ -366,11 +378,12 @@ def absval(a: Node) -> Node:
 def sigmoid(a: Node) -> Node:
     # Stable in both tails: exp of a non-positive argument only.
     x = a.value
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Node(s, (a,), "sigmoid", a.tape)
 
     def _bw(g):
-        a.grad += g * s * (1.0 - s)
+        _accumulate(a, g * s * (1.0 - s))
 
     out._backward = _bw
     return out
@@ -387,7 +400,7 @@ def maximum(a: Node, c: float, _op: str = "maximum") -> Node:
     mask = a.value > c
 
     def _bw(g):
-        a.grad += g * mask
+        _accumulate(a, g * mask)
 
     out._backward = _bw
     return out
@@ -400,7 +413,7 @@ def exp(a: Node) -> Node:
     out = Node(v, (a,), "exp", a.tape)
 
     def _bw(g):
-        a.grad += g * v
+        _accumulate(a, g * v)
 
     out._backward = _bw
     return out
@@ -412,7 +425,7 @@ def log(a: Node) -> Node:
     out = Node(np.log(a.value), (a,), "log", a.tape)
 
     def _bw(g):
-        a.grad += g / a.value
+        _accumulate(a, g / a.value)
 
     out._backward = _bw
     return out
@@ -427,7 +440,7 @@ def exp2(a: Node) -> Node:
     ln2 = np.log(2.0)
 
     def _bw(g):
-        a.grad += g * v * ln2
+        _accumulate(a, g * v * ln2)
 
     out._backward = _bw
     return out
@@ -441,7 +454,7 @@ def softmax_rows(a: Node) -> Node:
     out = Node(s, (a,), "softmax_rows", a.tape)
 
     def _bw(g):
-        a.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
+        _accumulate(a, s * (g - (g * s).sum(axis=1, keepdims=True)))
 
     out._backward = _bw
     return out
@@ -457,7 +470,7 @@ def row_sum(a: Node) -> Node:
     out = Node(a.value.sum(axis=1, keepdims=True), (a,), "row_sum", a.tape)
 
     def _bw(g):
-        a.grad += g  # (m,1) broadcasts over columns
+        _accumulate(a, np.broadcast_to(g, a.value.shape))
 
     out._backward = _bw
     return out
@@ -468,7 +481,7 @@ def col_sum(a: Node) -> Node:
     out = Node(a.value.sum(axis=0, keepdims=True), (a,), "col_sum", a.tape)
 
     def _bw(g):
-        a.grad += g
+        _accumulate(a, np.broadcast_to(g, a.value.shape))
 
     out._backward = _bw
     return out
@@ -478,7 +491,7 @@ def sum_all(a: Node) -> Node:
     out = Node(np.array([[a.value.sum()]]), (a,), "sum_all", a.tape)
 
     def _bw(g):
-        a.grad += g[0, 0]
+        _accumulate(a, np.broadcast_to(g, a.value.shape))
 
     out._backward = _bw
     return out
@@ -491,6 +504,8 @@ def max_all(a: Node) -> Node:
     out = Node(np.array([[a.value[idx]]]), (a,), "max_all", a.tape)
 
     def _bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
         a.grad[idx] += g[0, 0]
 
     out._backward = _bw
@@ -504,6 +519,8 @@ def min_all(a: Node) -> Node:
     out = Node(np.array([[a.value[idx]]]), (a,), "min_all", a.tape)
 
     def _bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.value)
         a.grad[idx] += g[0, 0]
 
     out._backward = _bw
@@ -517,7 +534,7 @@ def broadcast_rows(a: Node, m: int) -> Node:
     out = Node(np.repeat(a.value, m, axis=0), (a,), "broadcast_rows", a.tape)
 
     def _bw(g):
-        a.grad += g.sum(axis=0, keepdims=True)
+        _accumulate(a, g.sum(axis=0, keepdims=True))
 
     out._backward = _bw
     return out
@@ -530,7 +547,7 @@ def broadcast_cols(a: Node, n: int) -> Node:
     out = Node(np.repeat(a.value, n, axis=1), (a,), "broadcast_cols", a.tape)
 
     def _bw(g):
-        a.grad += g.sum(axis=1, keepdims=True)
+        _accumulate(a, g.sum(axis=1, keepdims=True))
 
     out._backward = _bw
     return out
@@ -546,7 +563,7 @@ def masked_sum(a: Node, mask) -> Node:
     out = Node(np.array([[(a.value * marr).sum()]]), (a,), "masked_sum", a.tape)
 
     def _bw(g):
-        a.grad += marr * g[0, 0]
+        _accumulate(a, marr * g[0, 0])
 
     out._backward = _bw
     return out
@@ -570,7 +587,7 @@ def weighted_sum(c: Node, mats) -> Node:
     out = Node(acc, (c,), "weighted_sum", c.tape)
 
     def _bw(g):
-        c.grad += np.array([[np.vdot(x, g) for x in consts]])
+        _accumulate(c, np.array([[np.vdot(x, g) for x in consts]]))
 
     out._backward = _bw
     return out

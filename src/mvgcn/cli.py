@@ -66,7 +66,8 @@ def save_prepared_graphs(out_dir, graphs: list[Graph], k: int, metric: str) -> N
     files = {}
     for v, g in enumerate(graphs):
         name = f"view_{v}.csv"
-        np.savetxt(out / name, g.adjacency, delimiter=",", fmt="%.17g")
+        with atomic_open(out / name, newline="") as fh:
+            np.savetxt(fh, g.adjacency, delimiter=",", fmt="%.17g")
         files[name] = _sha256(out / name)
     manifest = {
         "k": k,
@@ -154,10 +155,30 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _check_graphs_fit(graphs: list[Graph], dataset, graph_dir) -> None:
+    """Prepared graphs belong to the dataset they were built from: one graph
+    per view, one node per sample."""
+    V, m = dataset.num_views, dataset.num_samples
+    if len(graphs) != V:
+        raise DataLoadError(
+            f"prepared graphs in {graph_dir} have {len(graphs)} views "
+            f"but the dataset has {V}"
+        )
+    for v, g in enumerate(graphs):
+        if g.adjacency.shape != (m, m):
+            raise DataLoadError(
+                f"prepared graph view_{v}.csv in {graph_dir} has {g.num_nodes} nodes "
+                f"(shape {g.adjacency.shape}) but the dataset has {m} samples"
+            )
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
-    graphs = load_prepared_graphs(args.graphs, cfg) if args.graphs else None
+    graphs = None
+    if args.graphs:
+        graphs = load_prepared_graphs(args.graphs, cfg)
+        _check_graphs_fit(graphs, dataset, args.graphs)
     metrics = run_repeats(dataset, cfg, graphs)
     write_run_artifacts(args.out, dataset.name, cfg, metrics)
     print(

@@ -2,9 +2,11 @@
 
 Two trainable square matrices produce the antisymmetric score
 S1 S2^T - S2 S1^T; its absolute value passes through a sigmoid with slope
-gamma and gates the fused adjacency entrywise. Because the score diagonal is
-identically zero the mask diagonal is exactly 0.5, and because the score is
-antisymmetric the mask (and hence the refined adjacency) stays symmetric.
+gamma and gates the fused adjacency entrywise. The score comes from one
+matrix product: with P = S1 S2^T it is P - P^T, which is antisymmetric in
+floating point too. Its diagonal is therefore exactly zero and the mask
+diagonal exactly 0.5, and the mask (and hence the refined adjacency of a
+symmetric input) is exactly symmetric.
 """
 
 import numpy as np
@@ -34,9 +36,8 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float) -> Node:
             raise ShapeError(
                 f"{name} shape {p.value.shape} does not match adjacency {fused.value.shape}"
             )
-    score = ad.sub(
-        ad.matmul(S1, ad.transpose(S2)),
-        ad.matmul(S2, ad.transpose(S1)),
-    )
+    # S2 S1^T is (S1 S2^T)^T: one product gives the score, exactly antisymmetric
+    P = ad.matmul(S1, ad.transpose(S2))
+    score = ad.sub(P, ad.transpose(P))
     mask = ad.sigmoid(ad.scalar_mul(ad.absval(score), gamma))
     return ad.mul(fused, mask)

@@ -70,6 +70,34 @@ class TestBackward:
         tape.backward(ad.sum_all(w))
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
 
+    def test_unreached_intermediate_gets_zero_gradient(self):
+        tape = ad.Tape()
+        w = tape.leaf(np.ones((2, 2)))
+        unused = tape.leaf(np.full((2, 2), 3.0))
+        dangling = ad.sigmoid(ad.mul(unused, unused))
+        tape.backward(ad.sum_all(w))
+        np.testing.assert_array_equal(dangling.grad, np.zeros((2, 2)))
+        np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
+
+    def test_shared_and_passed_through_gradients_stay_separate(self):
+        # x feeds two consumers and add passes its gradient through unchanged,
+        # so a first contribution kept by reference would alias s and x
+        rng = np.random.default_rng(7)
+        tape = ad.Tape()
+        x = tape.leaf(rng.normal(size=(3, 4)))
+        y = tape.leaf(rng.normal(size=(3, 4)))
+        s = ad.add(x, y)
+        t = ad.add(s, x)
+        tape.backward(ad.sum_all(t))
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
+        np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+        np.testing.assert_array_equal(s.grad, np.ones((3, 4)))
+        np.testing.assert_array_equal(t.grad, np.ones((3, 4)))
+        grads = [x.grad, y.grad, s.grad, t.grad]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h)
+
     def test_gradient_map_covers_leaves(self):
         tape = ad.Tape()
         w = tape.leaf(np.ones((2, 2)))

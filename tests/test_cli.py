@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mvgcn.cli import main, write_csv, write_json
+from mvgcn.cli import main, save_prepared_graphs, write_csv, write_json
 from mvgcn.data import make_synthetic, save_dataset
+from mvgcn.graphs import Graph
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,32 @@ class TestPrepare:
         assert code == 2
         assert "k=4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "graphs_from, data_from, sizes",
+        [
+            ({"m": 40, "num_views": 3}, {"m": 40, "num_views": 2}, ("3 views", "has 2")),
+            ({"m": 40, "num_views": 2}, {"m": 24, "num_views": 2}, ("40 nodes", "has 24 samples")),
+        ],
+    )
+    def test_graphs_of_another_dataset_exit_1(
+        self, config_file, tmp_path, capsys, graphs_from, data_from, sizes
+    ):
+        source, target, graphs = tmp_path / "source", tmp_path / "target", tmp_path / "graphs"
+        save_dataset(source, make_synthetic(classes=2, noise=0.2, seed=5, **graphs_from))
+        save_dataset(target, make_synthetic(classes=2, noise=0.2, seed=6, **data_from))
+        assert run_cli("prepare", "--data", source, "--k", 3, "--out", graphs) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", target, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        for size in sizes:
+            assert size in err
+        assert "does not match adjacency" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEval:
     def test_scores_a_checkpoint(self, data_dir, config_file, tmp_path, capsys):
@@ -240,6 +267,16 @@ class TestAtomicWrites:
             write_json(path, {"accuracy": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    def test_failed_graph_write_keeps_previous_file(self, data_dir, tmp_path):
+        out = tmp_path / "graphs"
+        assert run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the second row cannot be formatted, so the write fails part-way
+        bad = Graph(np.array([[0.5, 0.5], [0.5, "x"]], dtype=object), renormalized=True)
+        with pytest.raises(TypeError):
+            save_prepared_graphs(out, [bad], 3, "euclidean")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:

@@ -45,6 +45,20 @@ class TestRefineGraph:
         assert out.value == pytest.approx(want, abs=1e-12)
         assert out.value == pytest.approx(out.value.T, abs=1e-12)
 
+    def test_one_product_gives_an_exactly_symmetric_output(self):
+        rng = np.random.default_rng(3)
+        m = 37
+        A = symmetric_nonneg(rng, m)
+        S1, S2 = rng.normal(size=(m, m)), rng.normal(size=(m, m))
+        tape = Tape()
+        leaves = [tape.leaf(x) for x in (A, S1, S2)]
+        start = len(tape.nodes)
+        out = refine_graph(*leaves, gamma=1.0)
+        ops = [node.op for node in tape.nodes[start:]]
+        assert ops.count("matmul") == 1
+        assert len(ops) == 8
+        assert np.array_equal(out.value, out.value.T)
+
     def test_shape_mismatch_rejected(self):
         tape = Tape()
         with pytest.raises(ShapeError):
