@@ -14,9 +14,8 @@ ones are added to it, so no two nodes share a gradient buffer. A node that
 no contribution reaches gets zeros when the sweep passes it.
 
 Elementwise binary operations accept operands of identical shape, or allow
-one side to be 1x1 (broadcast as a scalar). Row/column vectors are broadcast
-only through the explicit ``broadcast_rows`` / ``broadcast_cols`` operations.
-Subgradients at the ReLU / abs / max kinks are defined as 0.
+one side to be 1x1 (broadcast as a scalar); no operation broadcasts a row or
+column vector. Subgradients at the ReLU / abs / max kinks are defined as 0.
 """
 
 from __future__ import annotations
@@ -44,15 +43,12 @@ __all__ = [
     "maximum",
     "exp",
     "log",
-    "exp2",
     "softmax_rows",
     "row_sum",
     "col_sum",
     "sum_all",
     "max_all",
     "min_all",
-    "broadcast_rows",
-    "broadcast_cols",
     "masked_sum",
     "weighted_sum",
     "finite_difference_check",
@@ -98,43 +94,6 @@ class Node:
     @property
     def shape(self) -> tuple:
         return self.value.shape
-
-    @property
-    def T(self) -> "Node":
-        return transpose(self)
-
-    def __add__(self, other):
-        if isinstance(other, Node):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Node):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(scalar_mul(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return mul(self, other)
-        return scalar_mul(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Node):
-            return div(self, other)
-        return scalar_mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -375,11 +334,14 @@ def absval(a: Node) -> Node:
     return out
 
 
-def sigmoid(a: Node) -> Node:
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     # Stable in both tails: exp of a non-positive argument only.
-    x = a.value
     e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Node) -> Node:
+    s = _sigmoid_array(a.value)
     out = Node(s, (a,), "sigmoid", a.tape)
 
     def _bw(g):
@@ -431,37 +393,32 @@ def log(a: Node) -> Node:
     return out
 
 
-def exp2(a: Node) -> Node:
-    """Elementwise 2**x."""
-    v = np.exp2(a.value)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("exp2: result overflows float64")
-    out = Node(v, (a,), "exp2", a.tape)
-    ln2 = np.log(2.0)
+def _softmax_rows_array(x: np.ndarray) -> np.ndarray:
+    # Per-row max subtraction keeps exp arguments non-positive.
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
-    def _bw(g):
-        _accumulate(a, g * v * ln2)
 
-    out._backward = _bw
-    return out
+def _softmax_rows_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a row softmax with output ``s``, given ``g`` at its output."""
+    return s * (g - (g * s).sum(axis=1, keepdims=True))
 
 
 def softmax_rows(a: Node) -> Node:
-    # Per-row max subtraction keeps exp arguments non-positive.
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax_rows_array(a.value)
     out = Node(s, (a,), "softmax_rows", a.tape)
 
     def _bw(g):
-        _accumulate(a, s * (g - (g * s).sum(axis=1, keepdims=True)))
+        _accumulate(a, _softmax_rows_grad(s, g))
 
     out._backward = _bw
     return out
 
 
 # ---------------------------------------------------------------------------
-# reductions and broadcasts
+# reductions
 # ---------------------------------------------------------------------------
 
 
@@ -522,32 +479,6 @@ def min_all(a: Node) -> Node:
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
         a.grad[idx] += g[0, 0]
-
-    out._backward = _bw
-    return out
-
-
-def broadcast_rows(a: Node, m: int) -> Node:
-    """Tile a 1xN row vector down to an MxN matrix."""
-    if a.value.shape[0] != 1:
-        raise ShapeError(f"broadcast_rows: expected a 1xN row vector, got {a.value.shape}")
-    out = Node(np.repeat(a.value, m, axis=0), (a,), "broadcast_rows", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g.sum(axis=0, keepdims=True))
-
-    out._backward = _bw
-    return out
-
-
-def broadcast_cols(a: Node, n: int) -> Node:
-    """Tile an Mx1 column vector across to an MxN matrix."""
-    if a.value.shape[1] != 1:
-        raise ShapeError(f"broadcast_cols: expected an Mx1 column vector, got {a.value.shape}")
-    out = Node(np.repeat(a.value, n, axis=1), (a,), "broadcast_cols", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g.sum(axis=1, keepdims=True))
 
     out._backward = _bw
     return out

@@ -91,8 +91,16 @@ def init_model(
 
 
 def gcn_layer(A: Node, H: Node, W: Node, activation: str = "none") -> Node:
-    """One propagation step: activation(A @ H @ W)."""
-    out = ad.matmul(ad.matmul(A, H), W)
+    """One propagation step: activation(A @ H @ W).
+
+    The m x m product is taken on the narrower side: A @ (H @ W) when W
+    narrows the features, (A @ H) @ W otherwise.
+    """
+    d_in, d_out = W.value.shape
+    if d_out < d_in:
+        out = ad.matmul(A, ad.matmul(H, W))
+    else:
+        out = ad.matmul(ad.matmul(A, H), W)
     if activation == "relu":
         return ad.relu(out)
     if activation == "softmax-rows":

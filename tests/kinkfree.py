@@ -25,14 +25,14 @@ def smoothness_margin(graphs, features, state, gamma, tau):
     M = state.params["S1"] @ state.params["S2"].T - state.params["S2"] @ state.params["S1"].T
     off = ~np.eye(M.shape[0], dtype=bool)
     margins.append(np.min(np.abs(M[off])))
-    scores = fwd.selection.scores.value[0]
+    scores = fwd.selection.scores[0]
     gaps = np.abs(np.subtract.outer(scores, scores))
     margins.append(np.min(gaps[~np.eye(len(scores), dtype=bool)]))
     # raw gains must be pairwise separated so the min/max picks are stable
-    raw_gain = np.sort(oracles.dcg_scores(fwd.selection.permutation.value.tolist()))
+    raw_gain = np.sort(oracles.dcg_scores(fwd.selection.permutation.tolist()))
     margins.append(np.min(np.diff(raw_gain)))
     theta = 1.0 / (1.0 + np.exp(-state.params["raw_theta"][0, 0]))
-    margins.append(np.min(np.abs(fwd.selection.coefficients.value - theta)))
+    margins.append(np.min(np.abs(fwd.selection.coefficients - theta)))
     # rows the gate switched off entirely are constant zeros, not kinks;
     # only live rows can produce accidental near-zero pre-activations
     A = fwd.adjacency.value

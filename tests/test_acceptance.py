@@ -145,11 +145,11 @@ def test_permutation_relaxation_suite():
         scores = rng.normal(size=m)
         while np.min(np.abs(np.subtract.outer(scores, scores)[~np.eye(m, dtype=bool)])) < 1e-9:
             scores = rng.normal(size=m)
-        leaf = Tape().leaf(scores.reshape(1, -1))
+        row = scores.reshape(1, -1)
         for tau in (1e-4, 0.5, 5.0):
-            P = relaxed_permutation(leaf, tau).value
+            P = relaxed_permutation(row, tau)
             worst_row_sum = max(worst_row_sum, float(np.max(np.abs(P.sum(axis=1) - 1.0))))
-        sharp = relaxed_permutation(leaf, 1e-4).value
+        sharp = relaxed_permutation(row, 1e-4)
         if np.array_equal(np.argmax(sharp, axis=1), np.argsort(-scores)):
             argmax_hits += 1
     elapsed = time.perf_counter() - start
@@ -167,10 +167,10 @@ def test_permutation_relaxation_suite():
 
 
 def test_ranking_gain_hand_values_and_front_loading():
-    conf = dcg_confidence(Tape().leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))).value[0]
+    conf = dcg_confidence(np.array([[1.0, 0.0], [0.0, 1.0]]))[0]
     front_err = abs(conf[0] - 1.0)
     back_err = abs(conf[1] - 1.0 / math.log2(3.0))
-    uniform = dcg_confidence(Tape().leaf(np.full((2, 2), 0.5))).value[0]
+    uniform = dcg_confidence(np.full((2, 2), 0.5))[0]
     expected = (math.sqrt(2.0) - 1.0) * (1.0 + 1.0 / math.log2(3.0))
     uniform_err = float(np.max(np.abs(uniform - expected)))
 
@@ -183,9 +183,9 @@ def test_ranking_gain_hand_values_and_front_loading():
         i, j = sorted(rng.choice(m, size=2, replace=False))
         if row[i] > row[j]:
             row[[i, j]] = row[[j, i]]
-        before = dcg_confidence(Tape().leaf(np.tile(row, (m, 1)))).value[0, 0]
+        before = dcg_confidence(np.tile(row, (m, 1)))[0, 0]
         row[[i, j]] = row[[j, i]]
-        after = dcg_confidence(Tape().leaf(np.tile(row, (m, 1)))).value[0, 0]
+        after = dcg_confidence(np.tile(row, (m, 1)))[0, 0]
         if after >= before - 1e-15:
             holds += 1
     report(
@@ -239,10 +239,10 @@ def test_stage_oracle_equivalence():
         ibar = oracles.minmax_normalize(oracles.dcg_scores(P))
         C = oracles.confidence_coefficients(ibar)
         theta = 1.0 / (1.0 + math.exp(0.2))
-        track(sel.scores.value[0], a_s)
-        track(sel.permutation.value, P)
-        track(sel.confidence.value[0], ibar)
-        track(sel.coefficients.value, C)
+        track(sel.scores[0], a_s)
+        track(sel.permutation, P)
+        track(sel.confidence[0], ibar)
+        track(sel.coefficients, C)
         track(sel.selected.value, oracles.select_edges(A_hat.tolist(), C, theta))
 
         A, H, W = rng.normal(size=(6, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 3))
@@ -286,7 +286,7 @@ def test_symmetry_and_normalization_invariants_during_training():
         for M in (
             fwd.fusion.fused.value,
             fwd.refined.value,
-            fwd.selection.coefficients.value,
+            fwd.selection.coefficients,
             fwd.adjacency.value,
         ):
             devs["sym"] = max(devs["sym"], float(np.max(np.abs(M - M.T))))

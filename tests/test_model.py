@@ -70,6 +70,19 @@ class TestGcnLayer:
         want = np.array(oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), oracle_name))
         assert out.value == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("d_in,d_out,inner", [(6, 2, (5, 2)), (2, 6, (5, 2)), (3, 3, (5, 3))])
+    def test_product_order_follows_the_narrower_side(self, d_in, d_out, inner):
+        # A @ (H @ W) when W narrows the features, (A @ H) @ W otherwise;
+        # the first product recorded shows which order ran
+        rng = np.random.default_rng(2)
+        A, H, W = rng.normal(size=(5, 5)), rng.normal(size=(5, d_in)), rng.normal(size=(d_in, d_out))
+        tape = Tape()
+        out = gcn_layer(tape.leaf(A), tape.leaf(H), tape.leaf(W))
+        products = [n for n in tape.nodes if n.op == "matmul"]
+        assert products[0].value.shape == inner
+        want = np.array(oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), "none"))
+        assert out.value == pytest.approx(want, abs=1e-12)
+
     def test_unknown_activation_rejected(self):
         tape = Tape()
         a = tape.leaf(np.eye(2))
@@ -121,6 +134,17 @@ class TestForward:
             oracles.gcn_layer(selected, H1, state.params["W2"].tolist(), "softmax")
         )
         assert Z == pytest.approx(want, abs=1e-10)
+
+    def test_default_forward_and_loss_record_few_nodes(self):
+        # selection is one node; the whole default pass stays near 32 nodes
+        graphs, features, labels = toy_instance(0, m=12)
+        state = init_model(2, 12, features.shape[1], 5, 2, np.random.default_rng(1))
+        tape = Tape()
+        leaves = {name: tape.leaf(p) for name, p in state.params.items()}
+        fwd = forward(tape, leaves, graphs, features)
+        masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6])
+        assert sum(1 for n in tape.nodes if n.op == "select") == 1
+        assert len(tape.nodes) <= 35
 
     def test_dns_off_uses_refined_graph(self):
         graphs, features, _ = toy_instance(5, m=10)

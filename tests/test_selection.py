@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgcn import autodiff as ad
+from mvgcn import selection
 from mvgcn.autodiff import Tape
 from mvgcn.errors import ParameterError, ShapeError
 from mvgcn.selection import (
@@ -14,7 +15,6 @@ from mvgcn.selection import (
     dcg_confidence,
     differentiable_node_selection,
     hard_topk_baseline,
-    node_confidence,
     normalize_confidence,
     pairwise_difference,
     relaxed_permutation,
@@ -30,63 +30,63 @@ finite_scores = st.lists(
 )
 
 
-def leaf(value):
-    return Tape().leaf(np.asarray(value, dtype=float))
+def arr(value):
+    return np.asarray(value, dtype=float)
 
 
 class TestColumnMeanNonzero:
     def test_single_column_mean(self):
         A = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        out = column_mean_nonzero(leaf(A))
-        assert out.value == pytest.approx(np.array([[3.0, 0.0, 0.0]]), abs=1e-15)
+        out = column_mean_nonzero(arr(A))
+        assert out == pytest.approx(np.array([[3.0, 0.0, 0.0]]), abs=1e-15)
 
     def test_identity_scores_one_per_column(self):
-        out = column_mean_nonzero(leaf(np.eye(3)))
-        assert np.array_equal(out.value, np.ones((1, 3)))
+        out = column_mean_nonzero(arr(np.eye(3)))
+        assert np.array_equal(out, np.ones((1, 3)))
 
     def test_random_sparse_matches_counting_oracle(self):
         rng = np.random.default_rng(0)
         A = rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) > 0.5)
-        out = column_mean_nonzero(leaf(A))
+        out = column_mean_nonzero(arr(A))
         want = oracles.column_mean_nonzero(A.tolist())
-        assert out.value[0] == pytest.approx(want, abs=1e-12)
+        assert out[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestPairwiseDifference:
     def test_two_scores(self):
-        out = pairwise_difference(leaf([[1.0, 3.0]]))
-        assert np.array_equal(out.value, np.array([[0.0, 2.0], [2.0, 0.0]]))
+        out = pairwise_difference(arr([[1.0, 3.0]]))
+        assert np.array_equal(out, np.array([[0.0, 2.0], [2.0, 0.0]]))
 
     def test_constant_scores_vanish(self):
-        out = pairwise_difference(leaf([[2.5, 2.5, 2.5]]))
-        assert np.array_equal(out.value, np.zeros((3, 3)))
+        out = pairwise_difference(arr([[2.5, 2.5, 2.5]]))
+        assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_random_matches_double_loop(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=8)
-        out = pairwise_difference(leaf(a.reshape(1, -1)))
-        assert out.value == pytest.approx(np.array(oracles.pairwise_diff(a.tolist())), abs=1e-15)
+        out = pairwise_difference(arr(a.reshape(1, -1)))
+        assert out == pytest.approx(np.array(oracles.pairwise_diff(a.tolist())), abs=1e-15)
 
     @given(finite_scores)
     @settings(max_examples=40, deadline=None)
     def test_symmetric_nonneg_zero_diag(self, scores):
-        out = pairwise_difference(leaf([scores])).value
+        out = pairwise_difference(arr([scores]))
         assert np.array_equal(out, out.T)
         assert np.all(out >= 0)
         assert np.all(np.diag(out) == 0)
 
     def test_column_input_rejected(self):
         with pytest.raises(ShapeError):
-            pairwise_difference(leaf([[1.0], [2.0]]))
+            pairwise_difference(arr([[1.0], [2.0]]))
 
 
 class TestRelaxedPermutation:
     def test_singleton(self):
-        out = relaxed_permutation(leaf([[4.2]]), tau=0.5)
-        assert np.array_equal(out.value, np.ones((1, 1)))
+        out = relaxed_permutation(arr([[4.2]]), tau=0.5)
+        assert np.array_equal(out, np.ones((1, 1)))
 
     def test_two_node_hand_values(self):
-        P = relaxed_permutation(leaf([[2.0, 1.0]]), tau=1.0).value
+        P = relaxed_permutation(arr([[2.0, 1.0]]), tau=1.0)
         hi = 0.7310585786300049
         lo = 0.2689414213699951
         assert P[0] == pytest.approx([hi, lo], abs=1e-12)
@@ -96,7 +96,7 @@ class TestRelaxedPermutation:
         rng = np.random.default_rng(2)
         a = rng.normal(size=7)
         for tau in (0.3, 1.0, 4.0):
-            P = relaxed_permutation(leaf(a.reshape(1, -1)), tau=tau).value
+            P = relaxed_permutation(arr(a.reshape(1, -1)), tau=tau)
             want = np.array(oracles.neuralsort_matrix(a.tolist(), tau))
             assert P == pytest.approx(want, abs=1e-12)
 
@@ -104,7 +104,7 @@ class TestRelaxedPermutation:
     def test_rows_sum_to_one(self, tau):
         rng = np.random.default_rng(3)
         a = rng.normal(size=10)
-        P = relaxed_permutation(leaf(a.reshape(1, -1)), tau=tau).value
+        P = relaxed_permutation(arr(a.reshape(1, -1)), tau=tau)
         assert P.sum(axis=1) == pytest.approx(np.ones(10), abs=1e-9)
         assert np.all(P >= 0) and np.all(P <= 1)
         if tau >= 0.5:
@@ -117,37 +117,37 @@ class TestRelaxedPermutation:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 17))
         a = rng.permutation(np.linspace(-2.0, 2.0, m))
-        P = relaxed_permutation(leaf(a.reshape(1, -1)), tau=1e-4).value
+        P = relaxed_permutation(arr(a.reshape(1, -1)), tau=1e-4)
         assert np.array_equal(np.argmax(P, axis=1), np.argsort(-a, kind="stable"))
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ParameterError):
-            relaxed_permutation(leaf([[1.0, 2.0]]), tau=0.0)
+            relaxed_permutation(arr([[1.0, 2.0]]), tau=0.0)
 
 
 class TestConfidence:
     def test_front_one_hot_scores_one(self):
-        P = leaf([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        P = arr([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         out = dcg_confidence(P)
-        assert out.value[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_back_one_hot_scores_less(self):
-        out = dcg_confidence(leaf([[0.0, 1.0], [1.0, 0.0]]))
+        out = dcg_confidence(arr([[0.0, 1.0], [1.0, 0.0]]))
         want = 1.0 / math.log2(3.0)
-        assert out.value[0, 0] == pytest.approx(want, abs=1e-12)
-        assert out.value[0, 0] < 1.0
+        assert out[0, 0] == pytest.approx(want, abs=1e-12)
+        assert out[0, 0] < 1.0
 
     def test_uniform_row_hand_value(self):
-        out = dcg_confidence(leaf([[0.5, 0.5], [0.5, 0.5]]))
+        out = dcg_confidence(arr([[0.5, 0.5], [0.5, 0.5]]))
         want = (math.sqrt(2.0) - 1.0) * (1.0 + 1.0 / math.log2(3.0))
-        assert out.value[0] == pytest.approx([want, want], abs=1e-12)
+        assert out[0] == pytest.approx([want, want], abs=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(6, 6))
         P = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        out = dcg_confidence(leaf(P))
-        assert out.value[0] == pytest.approx(oracles.dcg_scores(P.tolist()), abs=1e-12)
+        out = dcg_confidence(arr(P))
+        assert out[0] == pytest.approx(oracles.dcg_scores(P.tolist()), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_front_loaded_swap_never_decreases_gain(self, seed):
@@ -165,36 +165,36 @@ class TestConfidence:
 
     def test_minmax_normalization_bounds(self):
         rng = np.random.default_rng(5)
-        raw = leaf(rng.uniform(1.0, 3.0, size=(1, 9)))
-        out = normalize_confidence(raw).value
+        raw = arr(rng.uniform(1.0, 3.0, size=(1, 9)))
+        out = normalize_confidence(raw)
         assert out.min() == pytest.approx(0.0, abs=1e-15)
         assert out.max() == pytest.approx(1.0, abs=1e-15)
 
     def test_normalization_invariant_to_positive_affine_rescale(self):
         rng = np.random.default_rng(6)
         raw = rng.uniform(size=(1, 7))
-        base = normalize_confidence(leaf(raw)).value
-        rescaled = normalize_confidence(leaf(3.7 * raw + 11.0)).value
+        base = normalize_confidence(arr(raw))
+        rescaled = normalize_confidence(arr(3.7 * raw + 11.0))
         assert rescaled == pytest.approx(base, abs=1e-12)
 
     def test_equal_confidences_collapse_to_half(self):
-        out = normalize_confidence(leaf(np.full((1, 5), 2.0)))
-        assert np.array_equal(out.value, np.full((1, 5), 0.5))
+        out = normalize_confidence(arr(np.full((1, 5), 2.0)))
+        assert np.array_equal(out, np.full((1, 5), 0.5))
 
 
 class TestCoefficients:
     def test_hand_values(self):
-        C = confidence_coefficients(leaf([[1.0, 0.0]])).value
+        C = confidence_coefficients(arr([[1.0, 0.0]]))
         assert C == pytest.approx(np.array([[1.0, 0.5], [0.5, 0.0]]), abs=1e-15)
 
     def test_all_ones(self):
-        C = confidence_coefficients(leaf(np.ones((1, 4)))).value
+        C = confidence_coefficients(arr(np.ones((1, 4))))
         assert np.array_equal(C, np.ones((4, 4)))
 
     def test_random_matches_oracle_and_symmetric(self):
         rng = np.random.default_rng(7)
         ibar = rng.uniform(size=7)
-        C = confidence_coefficients(leaf(ibar.reshape(1, -1))).value
+        C = confidence_coefficients(arr(ibar.reshape(1, -1)))
         want = np.array(oracles.confidence_coefficients(ibar.tolist()))
         assert C == pytest.approx(want, abs=1e-15)
         assert np.array_equal(C, C.T)
@@ -205,21 +205,19 @@ class TestSelectNodes:
         rng = np.random.default_rng(8)
         W = rng.uniform(size=(5, 5))
         A = np.triu(W, 1) + np.triu(W, 1).T + np.eye(5)
-        tape = Tape()
-        adj = tape.leaf(A)
-        C = confidence_coefficients(tape.leaf(np.full((1, 5), 0.5)))
-        out = select_nodes(adj, C, tape.leaf(np.full((1, 1), -1.0)))
-        assert np.array_equal(out.value, A)
+        adj = arr(A)
+        C = confidence_coefficients(arr(np.full((1, 5), 0.5)))
+        out = select_nodes(adj, C, arr(np.full((1, 1), -1.0)))
+        assert np.array_equal(out, A)
 
     def test_coefficient_at_threshold_gates_to_zero(self):
-        tape = Tape()
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ibar = tape.leaf(np.array([[1.0, 0.0]]))
+        ibar = arr(np.array([[1.0, 0.0]]))
         C = confidence_coefficients(ibar)  # C[0,1] = 0.5 = sigmoid(0)
-        out = select_nodes(tape.leaf(A), C, tape.leaf(np.zeros((1, 1))))
-        assert out.value[0, 1] == 0.0
-        assert out.value[1, 0] == 0.0
-        assert out.value[0, 0] > 0.0
+        out = select_nodes(arr(A), C, arr(np.zeros((1, 1))))
+        assert out[0, 1] == 0.0
+        assert out[1, 0] == 0.0
+        assert out[0, 0] > 0.0
 
     def test_low_confidence_pair_loses_its_edge(self):
         # nodes 2 and 3 connect only to each other and score zero confidence
@@ -234,9 +232,8 @@ class TestSelectNodes:
             ]
         )
         ibar = np.array([[1.0, 0.8, 0.0, 0.0, 0.6, 0.9]])
-        tape = Tape()
-        C = confidence_coefficients(tape.leaf(ibar))
-        out = select_nodes(tape.leaf(A), C, tape.leaf(np.zeros((1, 1)))).value
+        C = confidence_coefficients(arr(ibar))
+        out = select_nodes(arr(A), C, arr(np.zeros((1, 1))))
         assert out[2, 3] == 0.0 and out[3, 2] == 0.0
         assert out[0, 1] > 0.0 and out[0, 4] > 0.0
         # peak gated coefficient is (1+1)/2 - 0.5 at the (0,0) self-loop
@@ -250,18 +247,16 @@ class TestSelectNodes:
         rng = np.random.default_rng(9)
         A = rng.uniform(size=(4, 4))
         A = (A + A.T) / 2
-        tape = Tape()
-        C = confidence_coefficients(tape.leaf(rng.uniform(0.0, 0.3, size=(1, 4))))
-        out = select_nodes(tape.leaf(A), C, tape.leaf(np.full((1, 1), 50.0)))
-        assert np.array_equal(out.value, A)
+        C = confidence_coefficients(arr(rng.uniform(0.0, 0.3, size=(1, 4))))
+        out = select_nodes(arr(A), C, arr(np.full((1, 1), 50.0)))
+        assert np.array_equal(out, A)
 
     def test_shape_mismatch_rejected(self):
-        tape = Tape()
         with pytest.raises(ShapeError):
             select_nodes(
-                tape.leaf(np.zeros((3, 3))),
-                tape.leaf(np.zeros((2, 2))),
-                tape.leaf(np.zeros((1, 1))),
+                arr(np.zeros((3, 3))),
+                arr(np.zeros((2, 2))),
+                arr(np.zeros((1, 1))),
             )
 
 
@@ -281,7 +276,7 @@ class TestPipeline:
         assert np.all(out >= 0)
         assert np.all(out <= A + 1e-12)
         assert np.count_nonzero(out) <= np.count_nonzero(A)
-        assert res.permutation.value.sum(axis=1) == pytest.approx(np.ones(7), abs=1e-9)
+        assert res.permutation.sum(axis=1) == pytest.approx(np.ones(7), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -300,12 +295,110 @@ class TestPipeline:
             tape.leaf(A), tape.leaf(raw_theta), tau=0.7
         )
         theta = 1.0 / (1.0 + math.exp(-raw_theta[0, 0]))
-        gaps = np.abs(probe.coefficients.value - theta)
+        gaps = np.abs(probe.coefficients - theta)
         assert gaps.min() >= 1e-3
-        scores = probe.scores.value[0]
+        scores = probe.scores[0]
         assert np.min(np.abs(np.subtract.outer(scores, scores)[~np.eye(m, dtype=bool)])) >= 1e-3
 
         assert ad.finite_difference_check(build, [A, raw_theta]) <= 1e-4
+
+
+class TestSelectionOp:
+    """The pipeline is one tape node with a hand-derived backward rule."""
+
+    @staticmethod
+    def _smooth_instances(count):
+        # full support keeps the nonzero counts behind the scores constant
+        # under perturbation; the guards keep every instance on one smooth
+        # branch: untied scores, separated gain extremes, no coefficient at
+        # the threshold, a unique gate peak, and an adjacency that is gated
+        rng = np.random.default_rng(21)
+        found = []
+        while len(found) < count:
+            m = int(rng.integers(3, 8))
+            A = rng.uniform(0.2, 1.5, size=(m, m))
+            raw_theta = rng.uniform(-1.5, 0.5, size=(1, 1))
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            tape = Tape()
+            res = differentiable_node_selection(tape.leaf(A), tape.leaf(raw_theta), tau)
+            theta = 1.0 / (1.0 + math.exp(-raw_theta[0, 0]))
+            scores = res.scores[0]
+            gains = np.sort(dcg_confidence(res.permutation)[0])
+            gated = np.sort(np.maximum(res.coefficients - theta, 0.0).ravel())
+            margins = [
+                np.min(np.abs(np.subtract.outer(scores, scores))[~np.eye(m, dtype=bool)]),
+                gains[1] - gains[0],
+                gains[-1] - gains[-2],
+                np.min(np.abs(res.coefficients - theta)),
+                gated[-1] - gated[-2],
+            ]
+            if min(margins) >= 1e-3:
+                found.append((A, raw_theta, tau, rng.normal(size=(m, m))))
+        return found
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_gradients_match_finite_differences(self, case):
+        A, raw_theta, tau, R = self._smooth_instances(4)[case]
+
+        def build(tape, leaves):
+            res = differentiable_node_selection(leaves[0], leaves[1], tau)
+            return ad.sum_all(ad.mul_const(res.selected, R))
+
+        assert ad.finite_difference_check(build, [A, raw_theta], step=1e-6) <= 1e-6
+
+    def test_records_one_tape_node(self):
+        tape = Tape()
+        adj = tape.leaf(np.random.default_rng(22).uniform(0.2, 1.0, size=(6, 6)))
+        raw_theta = tape.leaf(np.full((1, 1), -0.4))
+        before = len(tape.nodes)
+        res = differentiable_node_selection(adj, raw_theta, 0.5)
+        assert tape.nodes[before:] == [res.selected]
+        assert res.selected.parents == (adj, raw_theta)
+
+    def test_pass_through_gives_adjacency_the_upstream_gradient(self):
+        rng = np.random.default_rng(23)
+        A = rng.uniform(0.2, 1.0, size=(5, 5))
+        R = rng.normal(size=(5, 5))
+        tape = Tape()
+        adj = tape.leaf(A)
+        raw_theta = tape.leaf(np.full((1, 1), 50.0))  # threshold tops every coefficient
+        res = differentiable_node_selection(adj, raw_theta, 0.5)
+        tape.backward(ad.sum_all(ad.mul_const(res.selected, R)))
+        assert np.array_equal(res.selected.value, A)
+        assert np.array_equal(adj.grad, R)
+        assert np.array_equal(raw_theta.grad, np.zeros((1, 1)))
+
+    def test_equal_confidences_pass_no_gradient_to_the_scores(self):
+        # a circulant adjacency: every column holds the same nonzero entries,
+        # so every node scores the same and every confidence is 0.5
+        base = np.array([0.9, 0.3, 0.0, 0.5, 0.0])
+        A = np.array([np.roll(base, i) for i in range(5)])
+        R = np.random.default_rng(24).normal(size=(5, 5))
+        tape = Tape()
+        adj = tape.leaf(A)
+        raw_theta = tape.leaf(np.full((1, 1), -0.3))
+        res = differentiable_node_selection(adj, raw_theta, 0.5)
+        tape.backward(ad.sum_all(ad.mul_const(res.selected, R)))
+        assert np.array_equal(res.confidence, np.full((1, 5), 0.5))
+        # a uniform gate scales every edge by 1 and leaves the graph as it is
+        assert np.array_equal(res.selected.value, A)
+        assert np.array_equal(adj.grad, R)
+        assert abs(raw_theta.grad[0, 0]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [0.3, 0.3, 1.0, -0.2, 1.0, 0.3],
+            [2.0, 2.0, 2.0, 2.0],
+            [0.5, -1.0, 0.25, 3.0, -2.0],
+        ],
+    )
+    def test_score_gap_gradient_matches_sign_formula(self, scores):
+        # d/da_k of sum_i u_i sum_j |a_i - a_j| = sum_j (u_k + u_j) sign(a_k - a_j)
+        a = np.array(scores)
+        u = np.random.default_rng(len(scores)).normal(size=a.size)
+        want = ((u[:, None] + u[None, :]) * np.sign(a[:, None] - a[None, :])).sum(axis=1)
+        assert selection._gap_sum_grad(a, u) == pytest.approx(want, abs=1e-12)
 
 
 class TestHardTopK:
