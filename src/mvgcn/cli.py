@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import NoGradTape
 from .config import RunConfig, config_from_dict, config_to_dict, load_config
 from .data import load_dataset
 from .errors import ConfigError, DataLoadError, TrainingError
@@ -107,7 +107,7 @@ def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
 
 
 def _fusion_summary(state) -> dict:
-    W = normalize_weights(Tape().leaf(state.params["raw_weights"]))
+    W = normalize_weights(NoGradTape().leaf(state.params["raw_weights"]))
     alpha = view_importance(W)
     return {"weights": W.value.tolist(), "importance": alpha.value[0].tolist()}
 
@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prepare = sub.add_parser("prepare", help="build renormalized KNN graphs once")
     prepare.add_argument("--data", required=True, help="dataset directory")
-    prepare.add_argument("--k", type=int, default=10, help="neighbors per node")
-    prepare.add_argument("--metric", choices=METRICS, default="euclidean")
+    prepare.add_argument("--k", type=int, default=RunConfig.k, help="neighbors per node")
+    prepare.add_argument("--metric", choices=METRICS, default=RunConfig.metric)
     prepare.add_argument("--out", required=True, help="output directory")
     prepare.set_defaults(func=cmd_prepare)
 

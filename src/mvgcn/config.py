@@ -25,7 +25,6 @@ class RunConfig:
     glm: bool = True
     dns: bool = True
     dns_mode: str = "soft"
-    renormalize_after_selection: bool = False
     stratified: bool = True
 
 

@@ -8,11 +8,11 @@ the protocol of averaging over several random labelings.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .data import MultiViewDataset, SplitSpec, make_split, standardize_columns
 from .errors import ParameterError
 from .graphs import Graph, build_knn_graph, renormalize
@@ -56,7 +56,6 @@ def forward_settings(cfg: RunConfig) -> dict:
         "use_glm": cfg.glm,
         "dns_mode": cfg.dns_mode if cfg.dns else "off",
         "k": cfg.k,
-        "renormalize_after_selection": cfg.renormalize_after_selection,
     }
 
 
@@ -130,7 +129,7 @@ def run_ablation(dataset: MultiViewDataset, cfg: RunConfig) -> list[dict]:
     graphs = prepare_graphs(dataset, cfg.k, cfg.metric)
     rows = []
     for name, glm, dns in ABLATION_GRID:
-        variant = RunConfig(**{**cfg.__dict__, "glm": glm, "dns": dns})
+        variant = validate_config(replace(cfg, glm=glm, dns=dns))
         metrics = run_repeats(dataset, variant, graphs)
         rows.append(
             {
@@ -153,11 +152,10 @@ SWEEPABLE = {
 
 
 def _sweep_point(args):
-    dataset, cfg, field, value = args
-    variant = RunConfig(**{**cfg.__dict__, field: value})
+    dataset, variant, field = args
     metrics = run_repeats(dataset, variant)
     return {
-        "value": value,
+        "value": getattr(variant, field),
         "mean_accuracy": metrics.mean_accuracy,
         "std_accuracy": metrics.std_accuracy,
     }
@@ -172,7 +170,9 @@ def run_sweep(
 ) -> list[dict]:
     """One repeated run per grid value, all anchored at the same base seed.
 
-    Graphs are rebuilt per point because k and the metric are sweepable.
+    Every grid point's config is validated before any of them trains, so
+    an out-of-range value fails at once and names the field. Graphs are
+    rebuilt per point because k is sweepable.
     """
     if param not in SWEEPABLE:
         raise ParameterError(
@@ -181,7 +181,8 @@ def run_sweep(
     if not values:
         raise ParameterError("sweep needs at least one value")
     field, cast = SWEEPABLE[param]
-    points = [(dataset, cfg, field, cast(v)) for v in values]
+    variants = [validate_config(replace(cfg, **{field: cast(v)})) for v in values]
+    points = [(dataset, variant, field) for variant in variants]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_point, points))

@@ -52,9 +52,6 @@ class ModelState:
     second_moment: dict[str, np.ndarray]
     step: int = 0
 
-    def parameter_names(self) -> list[str]:
-        return list(self.params)
-
 
 def _glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (n_in + n_out))
@@ -110,14 +107,6 @@ def gcn_layer(A: Node, H: Node, W: Node, activation: str = "none") -> Node:
     raise ParameterError(f"unknown activation {activation!r}")
 
 
-def _renormalize_on_tape(adj: Node, tape: Tape) -> Node:
-    # same self-loop degree scaling as graphs.renormalize, but differentiable
-    m = adj.value.shape[0]
-    a_hat = ad.add(adj, tape.leaf(np.eye(m)))
-    inv_sqrt = ad.exp(ad.scalar_mul(ad.log(ad.row_sum(a_hat)), -0.5))
-    return ad.mul(a_hat, ad.matmul(inv_sqrt, ad.transpose(inv_sqrt)))
-
-
 @dataclass
 class ForwardPass:
     """Every stage of one forward evaluation, still on the tape."""
@@ -140,9 +129,15 @@ def forward(
     use_glm: bool = True,
     dns_mode: str = "soft",
     k: int = 10,
-    renormalize_after_selection: bool = False,
 ) -> ForwardPass:
-    """Run the full pipeline from per-view graphs to class probabilities."""
+    """Run the full pipeline from per-view graphs to class probabilities.
+
+    The keyword settings are the forward pass's share of a run config (see
+    ``experiment.forward_settings``): ``gamma`` sharpens the shrinkage mask,
+    ``tau`` is the selection temperature, ``use_glm`` turns refinement on,
+    ``dns_mode`` is "soft", "hard-topk" or "off", and ``k`` is the number
+    of entries per row the hard top-k baseline keeps.
+    """
     if dns_mode not in DNS_MODES:
         raise ParameterError(f"dns_mode must be one of {DNS_MODES}, got {dns_mode!r}")
     fusion = fuse_views(views, leaves["raw_weights"])
@@ -161,8 +156,6 @@ def forward(
         adjacency = tape.leaf(hard_topk_baseline(refined.value, k))
     else:
         adjacency = refined
-    if renormalize_after_selection:
-        adjacency = _renormalize_on_tape(adjacency, tape)
 
     H = tape.leaf(features)
     num_layers = sum(1 for name in leaves if name.startswith("W"))
@@ -183,9 +176,12 @@ def masked_cross_entropy(Z: Node, Y: np.ndarray, labeled) -> Node:
     if Y.shape != Z.value.shape:
         raise ShapeError(f"label matrix shape {Y.shape} does not match {Z.value.shape}")
     weights = np.zeros_like(Y)
-    weights[idx] = Y[idx]
-    logs = ad.log(ad.add_scalar(Z, LOSS_CLAMP))
-    return ad.scalar_mul(ad.masked_sum(logs, weights), -1.0)
+    weights[idx] = -Y[idx]
+    # log(max(Z, clamp)) <= 0, so the loss is never below zero. Negated
+    # weights, not a negated sum, keep a perfect fit at +0.0 rather than
+    # -0.0: its off-class terms are -0.0 * log(z) = +0.0.
+    logs = ad.log(ad.maximum(Z, LOSS_CLAMP))
+    return ad.masked_sum(logs, weights)
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> ModelState:
@@ -254,22 +250,19 @@ def train(
     lr: float = 0.1,
     hidden: int = 64,
     layers: int = 2,
-    gamma: float = 1.0,
-    tau: float = 0.5,
-    use_glm: bool = True,
-    dns_mode: str = "soft",
-    k: int = 10,
-    renormalize_after_selection: bool = False,
     eval_idx=None,
     callback=None,
+    **forward_kwargs,
 ) -> TrainResult:
     """Full-batch training loop.
 
-    History holds one row per iteration: (iteration, loss, accuracy on the
-    labeled rows, accuracy on the evaluation rows), all measured at the
-    parameters in force when the iteration started. ``callback``, if given,
-    sees (iteration, forward_pass, loss_value, state) at the same moment,
-    before the update.
+    ``forward_kwargs`` go to ``forward`` unchanged on every iteration, as
+    in ``predict``; an unknown name raises ``TypeError`` before the first
+    update. History holds one row per iteration: (iteration, loss, accuracy
+    on the labeled rows, accuracy on the evaluation rows), all measured at
+    the parameters in force when the iteration started. ``callback``, if
+    given, sees (iteration, forward_pass, loss_value, state) at the same
+    moment, before the update.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -296,18 +289,7 @@ def train(
     for iteration in range(1, epochs + 1):
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-        fwd = forward(
-            tape,
-            leaves,
-            views,
-            features,
-            gamma=gamma,
-            tau=tau,
-            use_glm=use_glm,
-            dns_mode=dns_mode,
-            k=k,
-            renormalize_after_selection=renormalize_after_selection,
-        )
+        fwd = forward(tape, leaves, views, features, **forward_kwargs)
         loss = masked_cross_entropy(fwd.probabilities, Y, labeled_idx)
         loss_value = float(loss.value[0, 0])
         if not np.isfinite(loss_value):

@@ -197,7 +197,7 @@ def masked_cross_entropy(Z, Y, labeled, eps=1e-12):
     loss = 0.0
     for i in labeled:
         for j in range(len(Z[0])):
-            loss -= Y[i][j] * math.log(Z[i][j] + eps)
+            loss -= Y[i][j] * math.log(max(Z[i][j], eps))
     return loss
 
 

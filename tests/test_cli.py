@@ -1,12 +1,15 @@
+import gc
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from mvgcn.cli import main, save_prepared_graphs, write_csv, write_json
+from mvgcn import experiment
+from mvgcn.cli import _fusion_summary, main, save_prepared_graphs, write_csv, write_json
 from mvgcn.data import make_synthetic, save_dataset
 from mvgcn.graphs import Graph
+from mvgcn.model import config_digest, init_model
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,25 @@ class TestTrain:
         code = run_cli("train", "--config", bad, "--data", data_dir, "--out", tmp_path / "x")
         assert code == 2
         assert "epochs" in capsys.readouterr().err
+
+    def test_removed_renormalize_field_exits_2_naming_it(self, data_dir, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"epochs": 2, "renormalize_after_selection": False}))
+        code = run_cli("train", "--config", old, "--data", data_dir, "--out", tmp_path / "x")
+        assert code == 2
+        assert "renormalize_after_selection" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fusion_summary_leaves_no_cyclic_garbage(self):
+        state = init_model(3, 5, 4, 2, 2, np.random.default_rng(0))
+        gc.collect()
+        gc.disable()
+        try:
+            summary = _fusion_summary(state)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(summary["weights"]) == 3 and len(summary["importance"]) == 3
 
     def test_missing_data_exits_1(self, config_file, tmp_path, capsys):
         code = run_cli(
@@ -224,6 +246,18 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", old, "--data", data_dir) == 1
         assert "checkpoint format 1" in capsys.readouterr().err
 
+    def test_checkpoint_naming_the_removed_field_exits_2(self, checkpoint, data_dir, tmp_path, capsys):
+        # checkpoints written while renormalize_after_selection existed store
+        # it in their config; the hash is recomputed so only the field is wrong
+        payload = json.loads(checkpoint.read_text())
+        payload["config"]["renormalize_after_selection"] = False
+        payload["config_hash"] = config_digest(payload["config"])
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", old, "--data", data_dir) == 2
+        assert "renormalize_after_selection" in capsys.readouterr().err
+
 
 class TestInputs:
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
@@ -307,6 +341,29 @@ class TestSweep:
         )
         assert code == 2
         assert "huge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param, values, field",
+        [
+            ("tau", "0.5,-1", "tau"),
+            ("k", "0", "k"),
+            ("label-ratio", "1.5", "label_ratio"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_training(
+        self, data_dir, config_file, tmp_path, capsys, monkeypatch, param, values, field
+    ):
+        runs = []
+        monkeypatch.setattr(experiment, "run_repeats", lambda *args: runs.append(args))
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--param", param, "--values", values,
+            "--config", config_file, "--data", data_dir, "--out", out,
+        )
+        assert code == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert runs == []
+        assert not (out / "sweep.csv").exists()
 
 
 class TestAblate:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +87,11 @@ class TestLoadConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(path)
+
+
+class TestReadme:
+    def test_config_block_lists_every_field_at_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert block, "README has no ```json config block"
+        assert json.loads(block.group(1)) == config_to_dict(RunConfig())

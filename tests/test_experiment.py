@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,6 @@ class TestSweep:
 
 class TestHardTopK:
     def test_hard_mode_trains(self, dataset, fast_cfg):
-        cfg = RunConfig(**{**fast_cfg.__dict__, "dns_mode": "hard-topk"})
+        cfg = replace(fast_cfg, dns_mode="hard-topk")
         out = run_single(dataset, cfg, seed=0)
         assert 0.0 <= out.final_test_accuracy <= 1.0

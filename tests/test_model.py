@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from mvgcn import autodiff as ad
+from mvgcn import model as model_module
 from mvgcn.autodiff import Tape
+from mvgcn.data import SplitSpec, make_split, make_synthetic
 from mvgcn.errors import DataLoadError, ParameterError, TrainingError
+from mvgcn.experiment import feature_matrix, prepare_graphs
 from mvgcn.graphs import build_knn_graph, renormalize
 from mvgcn.model import (
     ModelState,
@@ -167,10 +170,10 @@ class TestMaskedCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
         Y = one_hot(np.array([0, 1, 1, 0]), 2)
         tape = Tape()
-        loss = masked_cross_entropy(tape.leaf(Y), Y, [0, 1, 2, 3])
-        # each labeled row contributes ln(1 + 1e-12), which float rounding
-        # places a shade above 1e-12
-        assert abs(loss.value[0, 0]) <= 4 * 1.001e-12
+        loss = masked_cross_entropy(tape.leaf(Y), Y, [0, 1, 2, 3]).value[0, 0]
+        # each labeled row contributes -ln(max(1, 1e-12)) = 0, and the sum
+        # is +0.0, not -0.0
+        assert loss == 0.0 and math.copysign(1.0, loss) > 0
 
     def test_uniform_prediction_closed_form(self):
         c, omega = 4, [0, 2, 5]
@@ -316,6 +319,29 @@ class TestTrain:
         result = train(graphs, features, labels, 2, [0, 6], seed=3, epochs=5, hidden=4, k=3)
         assert [row[0] for row in result.history] == [1, 2, 3, 4, 5]
         assert result.probabilities.shape == (12, 2)
+
+    def test_converged_history_has_no_negative_loss(self):
+        # At this instance the labeled rows' true-class probabilities reach
+        # 1.0; a clamp added to Z instead of taken as a floor drove the
+        # final loss to -4.6e-12.
+        dataset = make_synthetic(m=120, num_views=3, classes=4, noise=0.5, seed=0)
+        labeled = make_split(dataset, SplitSpec(0.1, 0, True))
+        graphs = prepare_graphs(dataset, 10, "euclidean")
+        result = train(
+            graphs, feature_matrix(dataset), dataset.labels, dataset.classes, labeled,
+            seed=0, epochs=60,
+        )
+        losses = [row[1] for row in result.history]
+        assert min(losses) >= 0
+        assert not any(math.copysign(1.0, l) < 0 for l in losses)
+
+    def test_unknown_forward_setting_raises_before_any_update(self, monkeypatch):
+        graphs, features, labels = toy_instance(16, m=12)
+        steps = []
+        monkeypatch.setattr(model_module, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(TypeError, match="bogus"):
+            train(graphs, features, labels, 2, [0, 6], seed=3, epochs=2, hidden=4, bogus=1)
+        assert steps == []
 
     def test_train_and_predict_leave_no_cyclic_garbage(self):
         # Each iteration's tape is freed when the next one starts, so peak
