@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import NoGradTape
-from .config import RunConfig, config_from_dict, config_to_dict, load_config
+from .config import RunConfig, config_from_dict, config_to_dict, load_config, validate_config
 from .data import load_dataset
 from .errors import ConfigError, DataLoadError, TrainingError
 from .experiment import (
@@ -149,6 +149,7 @@ def _load_run_config(path) -> RunConfig:
 
 def cmd_prepare(args) -> int:
     dataset = load_dataset(args.data)
+    validate_config(RunConfig(k=args.k, metric=args.metric), dataset.num_samples)
     graphs = prepare_graphs(dataset, args.k, args.metric)
     save_prepared_graphs(args.out, graphs, args.k, args.metric)
     print(f"wrote {len(graphs)} renormalized graphs to {args.out}")
@@ -175,6 +176,7 @@ def _check_graphs_fit(graphs: list[Graph], dataset, graph_dir) -> None:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
     dataset = load_dataset(args.data)
+    validate_config(cfg, dataset.num_samples)
     graphs = None
     if args.graphs:
         graphs = load_prepared_graphs(args.graphs, cfg)

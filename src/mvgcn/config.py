@@ -28,10 +28,22 @@ class RunConfig:
     stratified: bool = True
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Range-check every field, naming the offender in the error."""
+def validate_config(cfg: RunConfig, num_samples: int | None = None) -> RunConfig:
+    """Range-check every field, naming the offender in the error.
+
+    Given the sample count of the dataset the run will use, also check that
+    ``k`` leaves each node a non-neighbor, as the KNN graphs need.
+    """
+    if num_samples is None:
+        k_check = ("k", cfg.k >= 1, "must be >= 1")
+    else:
+        k_check = (
+            "k",
+            1 <= cfg.k < num_samples,
+            f"must satisfy 1 <= k < {num_samples}, the dataset's sample count",
+        )
     checks = [
-        ("k", cfg.k >= 1, "must be >= 1"),
+        k_check,
         ("metric", cfg.metric in METRICS, f"must be one of {METRICS}"),
         ("gamma", cfg.gamma > 0, "must be positive"),
         ("tau", cfg.tau > 0, "must be positive"),

@@ -126,6 +126,7 @@ ABLATION_GRID = (
 
 def run_ablation(dataset: MultiViewDataset, cfg: RunConfig) -> list[dict]:
     """The four module on/off combinations under identical seeds and splits."""
+    validate_config(cfg, dataset.num_samples)
     graphs = prepare_graphs(dataset, cfg.k, cfg.metric)
     rows = []
     for name, glm, dns in ABLATION_GRID:
@@ -170,9 +171,10 @@ def run_sweep(
 ) -> list[dict]:
     """One repeated run per grid value, all anchored at the same base seed.
 
-    Every grid point's config is validated before any of them trains, so
-    an out-of-range value fails at once and names the field. Graphs are
-    rebuilt per point because k is sweepable.
+    Every grid point's config is validated against the dataset before any
+    of them trains, so an out-of-range value (a k of the sample count or
+    more included) fails at once and names the field. Graphs are rebuilt
+    per point because k is sweepable.
     """
     if param not in SWEEPABLE:
         raise ParameterError(
@@ -181,7 +183,10 @@ def run_sweep(
     if not values:
         raise ParameterError("sweep needs at least one value")
     field, cast = SWEEPABLE[param]
-    variants = [validate_config(replace(cfg, **{field: cast(v)})) for v in values]
+    variants = [
+        validate_config(replace(cfg, **{field: cast(v)}), dataset.num_samples)
+        for v in values
+    ]
     points = [(dataset, variant, field) for variant in variants]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -185,7 +185,13 @@ def masked_cross_entropy(Z: Node, Y: np.ndarray, labeled) -> Node:
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> ModelState:
-    """Bias-corrected Adam update for every parameter, in place."""
+    """Bias-corrected Adam update for every parameter, in place.
+
+    Two scratch arrays per parameter hold the intermediates, and the
+    moments and the parameter are updated where they lie. Each operation is
+    one the textbook formula takes, in the same order, so the result is the
+    same to the bit.
+    """
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     state.step += 1
@@ -198,13 +204,21 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Mod
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m1 = state.first_moment[name]
         m2 = state.second_moment[name]
+        buf = np.multiply(g, 1 - ADAM_BETA1)
         m1 *= ADAM_BETA1
-        m1 += (1 - ADAM_BETA1) * g
+        m1 += buf
+        np.multiply(g, 1 - ADAM_BETA2, out=buf)
+        buf *= g
         m2 *= ADAM_BETA2
-        m2 += (1 - ADAM_BETA2) * g * g
-        m1_hat = m1 / (1 - ADAM_BETA1**t)
-        m2_hat = m2 / (1 - ADAM_BETA2**t)
-        p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+        m2 += buf
+        # p -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps)
+        np.divide(m2, 1 - ADAM_BETA2**t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        step = np.divide(m1, 1 - ADAM_BETA1**t)
+        step *= lr
+        step /= buf
+        p -= step
         if not np.all(np.isfinite(p)):
             raise TrainingError(f"parameter {name!r} became non-finite at step {t}")
     return state

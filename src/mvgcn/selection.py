@@ -35,9 +35,11 @@ from .errors import ParameterError, ShapeError
 _LOG2 = float(np.log(2.0))
 
 
-def _inverse_counts(adj: np.ndarray) -> np.ndarray:
+def _column_means(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the means and the inverse nonzero counts behind them, as 1 x m rows
     counts = np.count_nonzero(adj, axis=0).astype(float).reshape(1, -1)
-    return np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    inverse_counts = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    return adj.sum(axis=0, keepdims=True) * inverse_counts, inverse_counts
 
 
 def column_mean_nonzero(adj: np.ndarray) -> np.ndarray:
@@ -45,7 +47,7 @@ def column_mean_nonzero(adj: np.ndarray) -> np.ndarray:
 
     Columns with no nonzero entries score 0.
     """
-    return adj.sum(axis=0, keepdims=True) * _inverse_counts(adj)
+    return _column_means(adj)[0]
 
 
 def _check_row(vector: np.ndarray, what: str) -> None:
@@ -178,7 +180,7 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
     """
     tape = _same_tape(adj, raw_theta, "differentiable_node_selection")
     A = adj.value
-    a_s = column_mean_nonzero(A)
+    a_s, inverse_counts = _column_means(A)
     P = relaxed_permutation(a_s, tau)
     exp2_P = np.exp2(P)
     raw = _discounted_gain(exp2_P)
@@ -216,7 +218,7 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
             d_scores = _ranks(A.shape[0])[:, 0] @ d_logits
             d_scores += _gap_sum_grad(a_s[0], -d_logits.sum(axis=0))
             d_scores /= tau
-            grad_adj += d_scores * _inverse_counts(A)
+            grad_adj += d_scores * inverse_counts
         _accumulate(adj, grad_adj)
 
     out._backward = _bw

@@ -100,6 +100,14 @@ class TestTrain:
         assert "renormalize_after_selection" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_k_of_the_sample_count_or_more_exits_2_naming_k(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "k40.json"
+        cfg.write_text(json.dumps({"k": 40, "epochs": 2, "repeats": 1}))
+        code = run_cli("train", "--config", cfg, "--data", data_dir, "--out", tmp_path / "x")
+        assert code == 2
+        assert "config field 'k'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_fusion_summary_leaves_no_cyclic_garbage(self):
         state = init_model(3, 5, 4, 2, 2, np.random.default_rng(0))
         gc.collect()
@@ -146,6 +154,13 @@ class TestPrepare:
             "--graphs", graphs,
         )
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("k", [0, 24])
+    def test_k_out_of_range_exits_2_naming_k(self, data_dir, tmp_path, capsys, k):
+        out = tmp_path / "graphs"
+        assert run_cli("prepare", "--data", data_dir, "--k", k, "--out", out) == 2
+        assert "config field 'k'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tampered_graph_refused(self, data_dir, config_file, tmp_path, capsys):
         graphs = tmp_path / "graphs"
@@ -347,6 +362,7 @@ class TestSweep:
         [
             ("tau", "0.5,-1", "tau"),
             ("k", "0", "k"),
+            ("k", "3,40", "k"),
             ("label-ratio", "1.5", "label_ratio"),
         ],
     )

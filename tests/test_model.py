@@ -139,15 +139,18 @@ class TestForward:
         assert Z == pytest.approx(want, abs=1e-10)
 
     def test_default_forward_and_loss_record_few_nodes(self):
-        # selection is one node; the whole default pass stays near 32 nodes
+        # fusion, refinement and selection are one node each; the m x m
+        # nodes are the two S leaves and those three
         graphs, features, labels = toy_instance(0, m=12)
         state = init_model(2, 12, features.shape[1], 5, 2, np.random.default_rng(1))
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
         fwd = forward(tape, leaves, graphs, features)
         masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6])
-        assert sum(1 for n in tape.nodes if n.op == "select") == 1
-        assert len(tape.nodes) <= 35
+        ops = [n.op for n in tape.nodes]
+        assert ops.count("select") == 1 and ops.count("refine") == 1
+        assert len(tape.nodes) == 24
+        assert sum(1 for n in tape.nodes if n.value.shape == (12, 12)) <= 5
 
     def test_dns_off_uses_refined_graph(self):
         graphs, features, _ = toy_instance(5, m=10)
@@ -240,6 +243,24 @@ class TestAdam:
             got.append(state.params["x"][0, 0])
         want = oracles.adam_trajectory([1.0, 1.0, 1.0], lr=0.1)
         assert got == pytest.approx(want, abs=1e-15)
+
+    def test_in_place_update_matches_the_out_of_place_formula(self):
+        rng = np.random.default_rng(11)
+        m, lr = 9, 0.05
+        p0 = rng.normal(size=(m, m))
+        state = ModelState({"S": p0.copy()}, {"S": np.zeros((m, m))}, {"S": np.zeros((m, m))})
+        p, m1, m2 = p0.copy(), np.zeros((m, m)), np.zeros((m, m))
+        for t in range(1, 6):
+            g = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=(m, m))
+            adam_step(state, {"S": g}, lr)
+            m1 = model_module.ADAM_BETA1 * m1 + (1 - model_module.ADAM_BETA1) * g
+            m2 = model_module.ADAM_BETA2 * m2 + (1 - model_module.ADAM_BETA2) * g * g
+            m1_hat = m1 / (1 - model_module.ADAM_BETA1**t)
+            m2_hat = m2 / (1 - model_module.ADAM_BETA2**t)
+            p = p - lr * m1_hat / (np.sqrt(m2_hat) + model_module.ADAM_EPS)
+            assert np.array_equal(state.first_moment["S"], m1)
+            assert np.array_equal(state.second_moment["S"], m2)
+            assert np.array_equal(state.params["S"], p)
 
     def test_missing_gradient_rejected(self):
         state = self._scalar_state()
