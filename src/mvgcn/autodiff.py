@@ -9,8 +9,10 @@ collector. A :class:`NoGradTape` computes the same values and records
 nothing, for forward passes that need no gradient.
 
 A gradient array is created during ``backward``, when the first contribution
-reaches its node: that contribution is copied into a new array, and later
-ones are added to it, so no two nodes share a gradient buffer. A node that
+reaches its node, and later ones are added to it. A first contribution that
+its backward rule has just allocated and holds nowhere else becomes the
+gradient as is; any other (an upstream gradient passed on unchanged, or a
+view of one) is copied, so no two nodes share a gradient buffer. A node that
 no contribution reaches gets zeros when the sweep passes it.
 
 Elementwise binary operations accept operands of identical shape, or allow
@@ -178,16 +180,25 @@ def _binary_shape(a: Node, b: Node, op: str):
     raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} do not conform")
 
 
-def _accumulate(parent: Node, term: np.ndarray):
+def _accumulate(parent: Node, term: np.ndarray, owned: bool = False):
+    """Add ``term`` to ``parent.grad``, creating the gradient on first write.
+
+    ``owned=True`` says the caller allocated ``term`` for this call and keeps
+    no other reference to it, so a C-ordered term becomes the gradient as is.
+    Any other first term is copied, in C order even for a transpose's g.T:
+    the elementwise Adam update runs about a third slower on a
+    Fortran-ordered gradient.
+    """
     # Scalar (1x1) operands collect the sum of the broadcast contributions.
     if parent.value.shape != term.shape:
         term = np.array([[term.sum()]])
-    if parent.grad is None:
-        # a copy, in C order even for a transpose's g.T: the elementwise
-        # Adam update runs about a third slower on a Fortran-ordered gradient
-        parent.grad = np.array(term, order="C")
-    else:
+        owned = True
+    if parent.grad is not None:
         parent.grad += term
+    elif owned and term.flags.c_contiguous:
+        parent.grad = term
+    else:
+        parent.grad = np.array(term, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def sub(a: Node, b: Node) -> Node:
 
     def _bw(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, owned=True)
 
     out._backward = _bw
     return out
@@ -228,8 +239,8 @@ def mul(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, (a, b), "mul", tape)
 
     def _bw(g):
-        _accumulate(a, g * b.value)
-        _accumulate(b, g * a.value)
+        _accumulate(a, g * b.value, owned=True)
+        _accumulate(b, g * a.value, owned=True)
 
     out._backward = _bw
     return out
@@ -243,8 +254,8 @@ def div(a: Node, b: Node) -> Node:
     out = Node(a.value / b.value, (a, b), "div", tape)
 
     def _bw(g):
-        _accumulate(a, g / b.value)
-        _accumulate(b, -g * a.value / (b.value * b.value))
+        _accumulate(a, g / b.value, owned=True)
+        _accumulate(b, -g * a.value / (b.value * b.value), owned=True)
 
     out._backward = _bw
     return out
@@ -259,8 +270,8 @@ def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, (a, b), "matmul", tape)
 
     def _bw(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        _accumulate(a, g @ b.value.T, owned=True)
+        _accumulate(b, a.value.T @ g, owned=True)
 
     out._backward = _bw
     return out
@@ -276,7 +287,7 @@ def scalar_mul(a: Node, c: float) -> Node:
     out = Node(a.value * c, (a,), "scalar_mul", a.tape)
 
     def _bw(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, owned=True)
 
     out._backward = _bw
     return out
@@ -303,7 +314,7 @@ def mul_const(a: Node, const) -> Node:
     out = Node(a.value * carr, (a,), "mul_const", a.tape)
 
     def _bw(g):
-        _accumulate(a, g * carr)
+        _accumulate(a, g * carr, owned=True)
 
     out._backward = _bw
     return out
@@ -328,7 +339,7 @@ def absval(a: Node) -> Node:
     out = Node(np.abs(a.value), (a,), "abs", a.tape)
 
     def _bw(g):
-        _accumulate(a, g * np.sign(a.value))
+        _accumulate(a, g * np.sign(a.value), owned=True)
 
     out._backward = _bw
     return out
@@ -345,7 +356,7 @@ def sigmoid(a: Node) -> Node:
     out = Node(s, (a,), "sigmoid", a.tape)
 
     def _bw(g):
-        _accumulate(a, g * s * (1.0 - s))
+        _accumulate(a, g * s * (1.0 - s), owned=True)
 
     out._backward = _bw
     return out
@@ -362,7 +373,7 @@ def maximum(a: Node, c: float, _op: str = "maximum") -> Node:
     mask = a.value > c
 
     def _bw(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * mask, owned=True)
 
     out._backward = _bw
     return out
@@ -375,7 +386,7 @@ def exp(a: Node) -> Node:
     out = Node(v, (a,), "exp", a.tape)
 
     def _bw(g):
-        _accumulate(a, g * v)
+        _accumulate(a, g * v, owned=True)
 
     out._backward = _bw
     return out
@@ -387,7 +398,7 @@ def log(a: Node) -> Node:
     out = Node(np.log(a.value), (a,), "log", a.tape)
 
     def _bw(g):
-        _accumulate(a, g / a.value)
+        _accumulate(a, g / a.value, owned=True)
 
     out._backward = _bw
     return out
@@ -411,7 +422,7 @@ def softmax_rows(a: Node) -> Node:
     out = Node(s, (a,), "softmax_rows", a.tape)
 
     def _bw(g):
-        _accumulate(a, _softmax_rows_grad(s, g))
+        _accumulate(a, _softmax_rows_grad(s, g), owned=True)
 
     out._backward = _bw
     return out
@@ -494,7 +505,7 @@ def masked_sum(a: Node, mask) -> Node:
     out = Node(np.array([[(a.value * marr).sum()]]), (a,), "masked_sum", a.tape)
 
     def _bw(g):
-        _accumulate(a, marr * g[0, 0])
+        _accumulate(a, marr * g[0, 0], owned=True)
 
     out._backward = _bw
     return out
@@ -518,7 +529,7 @@ def weighted_sum(c: Node, mats) -> Node:
     out = Node(acc, (c,), "weighted_sum", c.tape)
 
     def _bw(g):
-        _accumulate(c, np.array([[np.vdot(x, g) for x in consts]]))
+        _accumulate(c, np.array([[np.vdot(x, g) for x in consts]]), owned=True)
 
     out._backward = _bw
     return out

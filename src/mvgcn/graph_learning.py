@@ -65,7 +65,7 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float) -> Node:
     out = Node(fused.value * mask, (fused, S1, S2), "refine", tape)
 
     def _bw(g):
-        _accumulate(fused, g * mask)
+        _accumulate(fused, g * mask, owned=True)
         # D = g * fused * mask * (1 - mask) * gamma * sign(score)
         D = g * fused.value
         D *= mask
@@ -74,8 +74,9 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float) -> Node:
         D *= np.sign(score)
         dP = D - D.T
         del D
-        _accumulate(S1, dP @ S2.value)
-        _accumulate(S2, (S1.value.T @ dP).T)
+        _accumulate(S1, dP @ S2.value, owned=True)
+        # a transposed view, so _accumulate copies it into C order
+        _accumulate(S2, (S1.value.T @ dP).T, owned=True)
 
     out._backward = _bw
     return out

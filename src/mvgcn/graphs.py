@@ -1,4 +1,12 @@
-"""KNN adjacency construction and symmetric degree renormalization."""
+"""KNN adjacency construction and symmetric degree renormalization.
+
+Each point's k nearest neighbours come from one row-wise partition of the
+distance matrix: the row's k-th smallest distance bounds the candidates,
+and a row with exactly k candidates is done. A row with more (a tie at the
+k-th distance) or fewer (NaN entries) is ranked again with a stable sort.
+Either way a tie in distance goes to the lower sample index, so the chosen
+set is the first k entries of the row's stable argsort, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -37,10 +45,29 @@ def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.nd
     raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
+def _smallest_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries of each row, ties to the lower
+    column index: the set ``np.argsort(row, kind="stable")[:k]`` picks.
+
+    A row whose count of entries at or below its k-th smallest value is not
+    k holds a tie at that value or NaN entries; only such rows are sorted.
+    """
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    mask = values <= kth
+    for i in np.flatnonzero(mask.sum(axis=1) != k):
+        mask[i] = False
+        mask[i, np.argsort(values[i], kind="stable")[:k]] = True
+    return mask
+
+
 def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:
     """Binary mutual-max KNN adjacency: an edge i-j exists when either point
-    ranks the other among its k nearest. Ties in distance break toward the
-    lower sample index; the diagonal stays zero.
+    ranks the other among its k nearest. The diagonal stays zero.
+
+    Point i's neighbours are the first k entries of the stable argsort of
+    its distance row, so a tie in distance goes to the lower sample index.
+    They are read off one row-wise partition; only rows with a tie at the
+    k-th distance are sorted (module docstring). Features must be finite.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -48,16 +75,13 @@ def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> 
     m = X.shape[0]
     if not 1 <= k < m:
         raise ParameterError(f"k must satisfy 1 <= k < m, got k={k} with m={m}")
-    if np.isnan(X).any():
-        raise DomainError("feature matrix contains NaN entries")
+    if not np.isfinite(X).all():
+        raise DomainError("feature matrix contains non-finite (NaN or inf) entries")
 
     dist = pairwise_distances(X, metric)
     np.fill_diagonal(dist, np.inf)
-    adjacency = np.zeros((m, m))
-    for i in range(m):
-        neighbors = np.argsort(dist[i], kind="stable")[:k]
-        adjacency[i, neighbors] = 1.0
-    adjacency = np.maximum(adjacency, adjacency.T)
+    nearest = _smallest_k_mask(dist, k)
+    adjacency = (nearest | nearest.T).astype(np.float64)
     return Graph(adjacency=adjacency, renormalized=False)
 
 
@@ -71,7 +95,9 @@ def renormalize(graph: Graph) -> Graph:
     A = np.asarray(graph.adjacency, dtype=np.float64)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"adjacency must be square, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12):
+    # exact equality settles the common case without allclose's temporaries;
+    # it accepts nothing allclose would refuse (NaN fails both)
+    if not (np.array_equal(A, A.T) or np.allclose(A, A.T, atol=1e-12)):
         raise ParameterError("adjacency must be symmetric")
     if np.any(A < 0):
         raise ParameterError("adjacency must be non-negative")

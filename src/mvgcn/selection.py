@@ -31,6 +31,7 @@ from .autodiff import (
     _softmax_rows_grad,
 )
 from .errors import ParameterError, ShapeError
+from .graphs import _smallest_k_mask
 
 _LOG2 = float(np.log(2.0))
 
@@ -192,7 +193,7 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
     def _bw(g):
         if scale is None:
             _accumulate(adj, g)
-            _accumulate(raw_theta, np.zeros((1, 1)))
+            _accumulate(raw_theta, np.zeros((1, 1)), owned=True)
             return
         # selected = A * scale, scale = gated / peak, gated = relu(C - theta)
         d_scale = g * A
@@ -200,7 +201,7 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
         d_gated.flat[np.argmax(scale)] -= np.vdot(d_scale, scale) / peak
         d_gated *= scale > 0.0
         theta = _sigmoid_array(raw_theta.value)
-        _accumulate(raw_theta, -d_gated.sum() * theta * (1.0 - theta))
+        _accumulate(raw_theta, -d_gated.sum() * theta * (1.0 - theta), owned=True)
         grad_adj = g * scale
         spread = raw.max() - raw.min()
         if spread != 0.0:
@@ -219,7 +220,7 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
             d_scores += _gap_sum_grad(a_s[0], -d_logits.sum(axis=0))
             d_scores /= tau
             grad_adj += d_scores * inverse_counts
-        _accumulate(adj, grad_adj)
+        _accumulate(adj, grad_adj, owned=True)
 
     out._backward = _bw
     return SelectionResult(a_s, P, ibar, C, out)
@@ -228,15 +229,15 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
 def hard_topk_baseline(A: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest entries of each row, zeroing the rest.
 
-    Ties break toward the lower column index. Rows are treated independently,
+    Ties break toward the lower column index, as in a stable sort of the
+    negated row (``graphs._smallest_k_mask``). Rows are treated independently,
     so the result is generally asymmetric; this exists only as a
     non-differentiable reference for comparison runs.
     """
-    m, n = A.shape
+    _, n = A.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    keep = _smallest_k_mask(-A, k)
     out = np.zeros_like(A)
-    for i in range(m):
-        keep = np.argsort(-A[i], kind="stable")[:k]
-        out[i, keep] = A[i, keep]
+    out[keep] = A[keep]
     return out

@@ -98,6 +98,23 @@ class TestBackward:
             for h in grads[i + 1 :]:
                 assert not np.shares_memory(g, h)
 
+    def test_first_write_hands_over_owned_c_ordered_terms_only(self):
+        tape = ad.Tape()
+        owned, shared, view, later = (tape.leaf(np.zeros((3, 2))) for _ in range(4))
+        fresh = np.ones((3, 2))
+        ad._accumulate(owned, fresh, owned=True)
+        assert owned.grad is fresh
+        ad._accumulate(shared, fresh)
+        assert not np.shares_memory(shared.grad, fresh)
+        transposed = np.ones((2, 3)).T
+        ad._accumulate(view, transposed, owned=True)
+        assert view.grad.flags.c_contiguous
+        assert not np.shares_memory(view.grad, transposed)
+        ad._accumulate(later, np.full((3, 2), 2.0), owned=True)
+        ad._accumulate(later, fresh, owned=True)
+        np.testing.assert_array_equal(later.grad, np.full((3, 2), 3.0))
+        assert not np.shares_memory(later.grad, fresh)
+
     def test_gradient_map_covers_leaves(self):
         tape = ad.Tape()
         w = tape.leaf(np.ones((2, 2)))

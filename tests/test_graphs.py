@@ -12,6 +12,36 @@ def edge_set(adjacency):
     return set(zip(rows.tolist(), cols.tolist()))
 
 
+def stable_argsort_knn(X, k, metric="euclidean"):
+    """Each row's first k entries of a stable argsort of its distances."""
+    dist = pairwise_distances(np.asarray(X, dtype=float), metric)
+    np.fill_diagonal(dist, np.inf)
+    A = np.zeros(dist.shape)
+    for i, row in enumerate(dist):
+        A[i, np.argsort(row, kind="stable")[:k]] = 1.0
+    return np.maximum(A, A.T)
+
+
+def duplicated_points():
+    base = np.random.default_rng(21).normal(size=(5, 2))
+    return base[[0, 1, 0, 2, 3, 1, 4, 0, 2, 3, 4, 1]]
+
+
+def integer_grid():
+    # every point has several neighbours at each of a few distances
+    return np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+
+
+def random_points():
+    return np.random.default_rng(23).normal(size=(30, 3))
+
+
+def cosine_with_zero_row():
+    X = np.random.default_rng(22).normal(size=(10, 3))
+    X[3] = 0.0
+    return X
+
+
 class TestKnnConstruction:
     def test_collinear_points_chain(self):
         X = np.array([[0.0], [1.0], [3.0]])
@@ -63,6 +93,24 @@ class TestKnnConstruction:
         nnz = (A != 0).sum(axis=1)
         assert np.all(nnz >= k) and np.all(nnz <= m - 1)
 
+    @pytest.mark.parametrize(
+        "points,metric,ks",
+        [
+            (duplicated_points, "euclidean", (1, 2, 4, 11)),
+            (integer_grid, "euclidean", (1, 3, 4, 8, 15)),
+            (cosine_with_zero_row, "cosine", (1, 2, 9)),
+            (random_points, "euclidean", (1, 5, 29)),
+            (random_points, "cosine", (1, 5, 29)),
+        ],
+    )
+    def test_matches_stable_sort_and_oracle(self, points, metric, ks):
+        X = points()
+        for k in ks:
+            A = build_knn_graph(X, k, metric).adjacency
+            assert A.tobytes() == stable_argsort_knn(X, k, metric).tobytes(), k
+            want = oracles.knn_edge_set([row.tolist() for row in X], k, metric)
+            assert edge_set(A) == want, k
+
     def test_k_out_of_range(self):
         X = np.zeros((4, 2))
         with pytest.raises(ParameterError):
@@ -72,6 +120,12 @@ class TestKnnConstruction:
 
     def test_nan_features_rejected(self):
         X = np.array([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DomainError):
+            build_knn_graph(X, k=1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_features_rejected(self, bad):
+        X = np.array([[0.0, 1.0], [1.0, bad], [3.0, 4.0]])
         with pytest.raises(DomainError):
             build_knn_graph(X, k=1)
 
@@ -123,6 +177,15 @@ class TestRenormalize:
     def test_asymmetric_rejected(self):
         with pytest.raises(ParameterError):
             renormalize(Graph(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        A = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        out = renormalize(Graph(A)).adjacency
+        assert out == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
+
+    def test_nan_entries_rejected(self):
+        with pytest.raises(ParameterError):
+            renormalize(Graph(np.array([[0.0, np.nan], [np.nan, 0.0]])))
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ParameterError):

@@ -152,6 +152,29 @@ class TestForward:
         assert len(tape.nodes) == 24
         assert sum(1 for n in tape.nodes if n.value.shape == (12, 12)) <= 5
 
+    @pytest.mark.parametrize(
+        "dns_mode,raw_theta", [("soft", None), ("soft", 50.0), ("hard-topk", None), ("off", None)]
+    )
+    def test_backward_gives_every_node_its_own_gradient_buffer(self, dns_mode, raw_theta):
+        # rules hand their fresh terms over as gradients; none may alias
+        # another node's gradient or any node's value. A threshold above
+        # every coefficient makes selection pass its gradient through.
+        graphs, features, labels = toy_instance(0, m=12)
+        state = init_model(2, 12, features.shape[1], 5, 2, np.random.default_rng(1))
+        if raw_theta is not None:
+            state.params["raw_theta"][:] = raw_theta
+        tape = Tape()
+        leaves = {name: tape.leaf(p) for name, p in state.params.items()}
+        fwd = forward(tape, leaves, graphs, features, dns_mode=dns_mode, k=3)
+        tape.backward(masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6]))
+        nodes = tape.nodes
+        for i, node in enumerate(nodes):
+            assert node.grad.flags.c_contiguous
+            for other in nodes[i + 1 :]:
+                assert not np.shares_memory(node.grad, other.grad), (node, other)
+            for other in nodes:
+                assert not np.shares_memory(node.grad, other.value), (node, other)
+
     def test_dns_off_uses_refined_graph(self):
         graphs, features, _ = toy_instance(5, m=10)
         rng = np.random.default_rng(6)

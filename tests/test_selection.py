@@ -417,6 +417,23 @@ class TestHardTopK:
         out = hard_topk_baseline(A, 3)
         assert out == pytest.approx(np.array(oracles.topk_rows(A.tolist(), 3)), abs=0)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # tied values, at the k-th place and elsewhere
+            [[1.0, 2.0, 2.0, 1.0, 0.5], [3.0, 3.0, 3.0, 3.0, 3.0], [0.5, 1.0, 1.0, 1.0, 2.0]],
+            # fewer than k nonzeros: the rest of the k are zeros, lowest index first
+            [[0.0, 0.0, 0.7, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0, 0.9], [0.0, 0.0, 0.0, 0.0, 0.0]],
+            # -0.0 and 0.0 tie; the kept entry keeps its sign bit
+            [[-0.0, 0.0, -0.0, 1.0, 0.0], [-1.0, -0.0, 0.0, -0.0, -2.0], [0.0, -0.0, 0.0, -0.0, 0.0]],
+        ],
+    )
+    def test_ties_match_sort_oracle_bit_for_bit(self, rows):
+        A = np.array(rows)
+        for k in range(1, A.shape[1] + 1):
+            want = np.array(oracles.topk_rows(rows, k))
+            assert hard_topk_baseline(A, k).tobytes() == want.tobytes(), k
+
     def test_k_out_of_range(self):
         A = np.zeros((3, 3))
         for bad in (0, 4):
