@@ -1,11 +1,10 @@
 """KNN adjacency construction and symmetric degree renormalization.
 
 Each point's k nearest neighbours come from one row-wise partition of the
-distance matrix: the row's k-th smallest distance bounds the candidates,
-and a row with exactly k candidates is done. A row with more (a tie at the
-k-th distance) or fewer (NaN entries) is ranked again with a stable sort.
-Either way a tie in distance goes to the lower sample index, so the chosen
-set is the first k entries of the row's stable argsort, bit for bit.
+distance matrix: every distance below the row's k-th smallest is taken, and
+the remaining places go to the entries equal to it, lowest sample index
+first. The chosen set is the first k entries of the row's stable argsort,
+bit for bit, without sorting any row.
 """
 
 from __future__ import annotations
@@ -49,15 +48,17 @@ def _smallest_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k smallest entries of each row, ties to the lower
     column index: the set ``np.argsort(row, kind="stable")[:k]`` picks.
 
-    A row whose count of entries at or below its k-th smallest value is not
-    k holds a tie at that value or NaN entries; only such rows are sorted.
+    ``values`` must hold no NaN; -0.0 equals 0.0 and inf equals inf, as in
+    the sort.
     """
     kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
-    mask = values <= kth
-    for i in np.flatnonzero(mask.sum(axis=1) != k):
-        mask[i] = False
-        mask[i, np.argsort(values[i], kind="stable")[:k]] = True
-    return mask
+    below = values < kth
+    tied = values == kth
+    # the places left after the strictly smaller entries go to the first ties;
+    # int32 counts suffice for any row that fits in memory and take about half
+    # the time of the default int64 ones
+    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= k - below.sum(axis=1, keepdims=True)
+    return below | tied
 
 
 def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> Graph:
@@ -66,8 +67,8 @@ def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> 
 
     Point i's neighbours are the first k entries of the stable argsort of
     its distance row, so a tie in distance goes to the lower sample index.
-    They are read off one row-wise partition; only rows with a tie at the
-    k-th distance are sorted (module docstring). Features must be finite.
+    They are read off one row-wise partition without sorting (module
+    docstring). Features must be finite.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:

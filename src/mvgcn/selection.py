@@ -30,7 +30,7 @@ from .autodiff import (
     _softmax_rows_array,
     _softmax_rows_grad,
 )
-from .errors import ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 from .graphs import _smallest_k_mask
 
 _LOG2 = float(np.log(2.0))
@@ -232,11 +232,13 @@ def hard_topk_baseline(A: np.ndarray, k: int) -> np.ndarray:
     Ties break toward the lower column index, as in a stable sort of the
     negated row (``graphs._smallest_k_mask``). Rows are treated independently,
     so the result is generally asymmetric; this exists only as a
-    non-differentiable reference for comparison runs.
+    non-differentiable reference for comparison runs. NaN entries are refused.
     """
     _, n = A.shape
     if not 1 <= k <= n:
         raise ParameterError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if np.isnan(A).any():
+        raise DomainError("adjacency contains NaN entries")
     keep = _smallest_k_mask(-A, k)
     out = np.zeros_like(A)
     out[keep] = A[keep]

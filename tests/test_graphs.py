@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from mvgcn.errors import DomainError, ParameterError
-from mvgcn.graphs import Graph, build_knn_graph, pairwise_distances, renormalize
+from mvgcn.graphs import (
+    Graph,
+    _smallest_k_mask,
+    build_knn_graph,
+    pairwise_distances,
+    renormalize,
+)
 
 import oracles
 
@@ -138,6 +144,25 @@ class TestKnnConstruction:
         D = pairwise_distances(X, metric="cosine")
         assert D[0, 1] == pytest.approx(1.0)
         assert D[0, 2] == pytest.approx(1.0)
+
+
+class TestSmallestKMask:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stable_sort_on_ties_and_infinities(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=(9, 7))
+        for k in range(1, values.shape[1] + 1):
+            want = np.zeros(values.shape, dtype=bool)
+            for i, row in enumerate(values):
+                want[i, np.argsort(row, kind="stable")[:k]] = True
+            assert np.array_equal(_smallest_k_mask(values, k), want), k
+
+    def test_long_all_tied_rows_keep_their_first_k(self):
+        values = np.zeros((2, 300))
+        for k in (1, 200, 300):
+            want = np.zeros(values.shape, dtype=bool)
+            want[:, :k] = True
+            assert np.array_equal(_smallest_k_mask(values, k), want), k
 
 
 class TestRenormalize:

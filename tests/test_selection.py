@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvgcn import autodiff as ad
 from mvgcn import selection
 from mvgcn.autodiff import Tape
-from mvgcn.errors import ParameterError, ShapeError
+from mvgcn.errors import DomainError, ParameterError, ShapeError
 from mvgcn.selection import (
     column_mean_nonzero,
     confidence_coefficients,
@@ -439,3 +439,9 @@ class TestHardTopK:
         for bad in (0, 4):
             with pytest.raises(ParameterError):
                 hard_topk_baseline(A, bad)
+
+    def test_nan_entries_rejected(self):
+        A = np.eye(3)
+        A[1, 2] = np.nan
+        with pytest.raises(DomainError):
+            hard_topk_baseline(A, 2)
