@@ -86,9 +86,18 @@ def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
     if not manifest_path.exists():
         raise DataLoadError(f"no {GRAPH_MANIFEST} in {graph_dir}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise DataLoadError(f"graph manifest {manifest_path} is not a JSON object")
     for key in ("k", "metric", "num_views", "files"):
         if key not in manifest:
             raise DataLoadError(f"graph manifest is missing field {key!r}")
+    for key in ("k", "num_views"):
+        if type(manifest[key]) is not int or manifest[key] < 1:
+            raise DataLoadError(
+                f"graph manifest field {key!r} must be a positive integer, got {manifest[key]!r}"
+            )
+    if not isinstance(manifest["files"], dict):
+        raise DataLoadError("graph manifest field 'files' is not a JSON object")
     if manifest["k"] != cfg.k or manifest["metric"] != cfg.metric:
         raise ConfigError(
             f"prepared graphs use k={manifest['k']}, metric={manifest['metric']!r} "

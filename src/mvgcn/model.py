@@ -407,6 +407,11 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
             f"unsupported checkpoint format {payload['format']!r}; this version reads "
             f"format {CHECKPOINT_FORMAT} only, retrain to write a new checkpoint"
         )
+    if not isinstance(payload["config"], dict):
+        raise DataLoadError("checkpoint config is not a JSON object")
+    step = payload["step"]
+    if type(step) is not int or step < 0:
+        raise DataLoadError(f"checkpoint step must be a non-negative integer, got {step!r}")
     if config_digest(payload["config"]) != payload["config_hash"]:
         raise DataLoadError("checkpoint config hash does not match its config")
 
@@ -430,5 +435,5 @@ def load_checkpoint(path) -> tuple[ModelState, dict]:
                     f"checkpoint {section} {name!r} has shape {moments[name].shape}, "
                     f"params {name!r} has {p.shape}"
                 )
-    state = ModelState(**sections, step=payload["step"])
+    state = ModelState(**sections, step=step)
     return state, payload["config"]

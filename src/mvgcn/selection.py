@@ -7,6 +7,14 @@ discounted-cumulative-gain transform of each row scores how confidently a
 node ranks near the front, and edges whose endpoint confidences fall below a
 learnable threshold are shrunk toward zero.
 
+The soft mode's confidences depend on node order. Row i of the relaxed
+permutation is rank position i and column j is node j, but the gain sums
+row i over the columns with discount 1/log2(j + 1), so the discount goes by
+node index and ``ibar[i]`` belongs to rank position i, while the edge
+coefficients use it as node i's confidence. Relabeling the nodes therefore
+changes the soft mode's output. With selection off, the forward pass
+permutes with the nodes.
+
 The stage functions take and return plain arrays.
 ``differentiable_node_selection`` chains them and records the whole pipeline,
 from the adjacency and the raw threshold to the selected adjacency, as one

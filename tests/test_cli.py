@@ -185,6 +185,32 @@ class TestPrepare:
         assert "k=4" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda manifest: 5, "not a JSON object"),
+            (lambda manifest: {**manifest, "num_views": "2"}, "'num_views'"),
+            (lambda manifest: {**manifest, "k": 3.0}, "'k'"),
+            (lambda manifest: {**manifest, "files": sorted(manifest["files"])}, "'files'"),
+        ],
+        ids=["not_an_object", "num_views_string", "k_float", "files_list"],
+    )
+    def test_malformed_manifest_exits_1_naming_the_field(
+        self, data_dir, config_file, tmp_path, capsys, edit, field
+    ):
+        graphs = tmp_path / "graphs"
+        run_cli("prepare", "--data", data_dir, "--k", 3, "--out", graphs)
+        manifest = graphs / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", data_dir, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "graphs_from, data_from, sizes",
         [
             ({"m": 40, "num_views": 3}, {"m": 40, "num_views": 2}, ("3 views", "has 2")),
@@ -260,6 +286,28 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", old, "--data", data_dir) == 1
         assert "checkpoint format 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("config", [], "config is not a JSON object"),
+            ("step", "x", "step must be a non-negative integer"),
+            ("step", -1, "step must be a non-negative integer"),
+            ("step", True, "step must be a non-negative integer"),
+        ],
+    )
+    def test_malformed_field_exits_1_naming_it(
+        self, checkpoint, data_dir, tmp_path, capsys, field, value, message
+    ):
+        # the config hash is recomputed, so only the field itself is wrong
+        payload = json.loads(checkpoint.read_text())
+        payload[field] = value
+        payload["config_hash"] = config_digest(payload["config"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", bad, "--data", data_dir) == 1
+        assert message in capsys.readouterr().err
 
     def test_checkpoint_naming_the_removed_field_exits_2(self, checkpoint, data_dir, tmp_path, capsys):
         # checkpoints written while renormalize_after_selection existed store

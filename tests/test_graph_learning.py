@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mvgcn import autodiff as ad
+from mvgcn import graph_learning as gl
 from mvgcn.autodiff import Tape
-from mvgcn.errors import ParameterError, ShapeError
-from mvgcn.graph_learning import init_glm_params, refine_graph
+from mvgcn.errors import ParameterError, ShapeError, TrainingError
+from mvgcn.graph_learning import SUPPORT_DENSITY_MAX, init_glm_params, refine_graph
+from mvgcn.model import ModelState, adam_step
 
 import oracles
 
@@ -192,6 +194,147 @@ class TestRefineOp:
         first = [g.copy() for g in tape.backward(loss).values()]
         second = list(tape.backward(loss).values())
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def sparse_instance(rng, m, pair_density, asymmetric=False):
+    """Fused graph on a random support (self-loops included) and factors
+    clear of the kink. With ``asymmetric`` the two entries of a pair get
+    different values, and about a third of the pairs keep one entry only."""
+    upper = np.triu(rng.uniform(size=(m, m)) < pair_density, 1)
+    pattern = upper | upper.T | np.eye(m, dtype=bool)
+    values = rng.uniform(0.2, 1.5, size=(m, m))
+    if asymmetric:
+        pattern &= ~(upper & (rng.uniform(size=(m, m)) < 0.3))
+    else:
+        values = np.triu(values) + np.triu(values, 1).T
+    _, S1, S2 = smooth_instance(rng, m)
+    return np.where(pattern, values, 0.0), S1, S2
+
+
+def support_of(F):
+    nz = F != 0
+    return nz | nz.T
+
+
+# (seed, m, pair density, asymmetric values): two below the cut, one above
+SPARSE_CASES = [(70, 40, 0.04, False), (71, 40, 0.05, True), (72, 30, 0.2, True)]
+
+
+def run_refine(F, S1, S2, gamma, G):
+    tape = Tape()
+    leaves = [tape.leaf(x) for x in (F, S1, S2)]
+    out = refine_graph(*leaves, gamma)
+    tape.backward(ad.masked_sum(out, G))
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+class TestSupportLayout:
+    """Below the density cut, refinement works on the support of ``fused``;
+    it must give what the dense layout gives."""
+
+    @staticmethod
+    def case(seed, m, pair_density, asymmetric):
+        rng = np.random.default_rng(seed)
+        F, S1, S2 = sparse_instance(rng, m, pair_density, asymmetric)
+        return F, S1, S2, float(rng.choice([0.5, 1.0, 2.5])), rng.normal(size=(m, m))
+
+    def test_cases_lie_on_both_sides_of_the_cut(self):
+        densities = [np.mean(support_of(self.case(*c)[0])) for c in SPARSE_CASES]
+        assert densities[0] <= SUPPORT_DENSITY_MAX and densities[1] <= SUPPORT_DENSITY_MAX
+        assert densities[2] > SUPPORT_DENSITY_MAX
+        F = self.case(*SPARSE_CASES[1])[0]
+        assert not np.array_equal(F, F.T) and not np.array_equal(F != 0, F.T != 0)
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    def test_layouts_agree(self, case, monkeypatch):
+        F, S1, S2, gamma, G = self.case(*case)
+        results = []
+        for cut in (1.0, -1.0):  # support layout, then dense
+            monkeypatch.setattr(gl, "SUPPORT_DENSITY_MAX", cut)
+            results.append(run_refine(F, S1, S2, gamma, G))
+        (value, gF, g1, g2), (want, wantF, want1, want2) = results
+        support = support_of(F)
+        assert value.tobytes() == want.tobytes()
+        assert gF[support].tobytes() == wantF[support].tobytes()
+        assert np.all(gF[~support] == 0.0)
+        for got, ref in ((g1, want1), (g2, want2)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    def test_score_gradient_on_the_support_is_the_dense_one_bit_for_bit(
+        self, case, monkeypatch
+    ):
+        F, S1, S2, gamma, G = self.case(*case)
+        seen, csr_array = [], gl.csr_array
+
+        def spy(arg, shape):
+            seen.append(arg)
+            return csr_array(arg, shape=shape)
+
+        monkeypatch.setattr(gl, "SUPPORT_DENSITY_MAX", 1.0)
+        monkeypatch.setattr(gl, "csr_array", spy)
+        run_refine(F, S1, S2, gamma, G)
+        ((dP, cols, indptr),) = seen
+        rows = np.repeat(np.arange(F.shape[0]), np.diff(indptr))
+        P = S1 @ S2.T
+        score = P - P.T
+        mask = 1.0 / (1.0 + np.exp(-(np.abs(score) * gamma)))
+        D = G * F * mask * (1.0 - mask) * gamma * np.sign(score)
+        want = D - D.T
+        assert np.array_equal(np.nonzero(support_of(F)), (rows, cols))
+        assert dP.tobytes() == want[rows, cols].tobytes()
+
+    @pytest.mark.parametrize("case", SPARSE_CASES[:2])
+    def test_gradients_match_finite_differences(self, case):
+        F, S1, S2, gamma, G = self.case(*case)
+
+        def build(tape, leaves):
+            return ad.masked_sum(refine_graph(tape.leaf(F), *leaves, gamma), G)
+
+        assert ad.finite_difference_check(build, [S1, S2], step=1e-6) <= 1e-6
+
+        # fused's gradient is taken on its support, which a perturbation of
+        # a support entry leaves as it is
+        def loss(Fx):
+            tape = Tape()
+            out = refine_graph(*(tape.leaf(x) for x in (Fx, S1, S2)), gamma)
+            return float(ad.masked_sum(out, G).value[0, 0])
+
+        gF = run_refine(F, S1, S2, gamma, G)[1]
+        step, worst = 1e-6, 0.0
+        for r, c in zip(*np.nonzero(support_of(F))):
+            plus, minus = F.copy(), F.copy()
+            plus[r, c] += step
+            minus[r, c] -= step
+            numeric = (loss(plus) - loss(minus)) / (2 * step)
+            worst = max(worst, abs(gF[r, c] - numeric) / max(1.0, abs(numeric)))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("case", SPARSE_CASES)
+    def test_fused_gradient_off_the_support_follows_the_layout(self, case):
+        F, S1, S2, gamma, G = self.case(*case)
+        gF = run_refine(F, S1, S2, gamma, G)[1]
+        off = ~support_of(F)
+        if np.mean(~off) <= SUPPORT_DENSITY_MAX:
+            assert np.all(gF[off] == 0.0)
+        else:
+            assert np.all(gF[off] != 0.0)
+
+    @pytest.mark.parametrize("case", SPARSE_CASES[:2])
+    def test_nan_upstream_gradient_on_the_support_stops_training(self, case):
+        F, S1, S2, gamma, G = self.case(*case)
+        rows, cols = np.nonzero(support_of(F) & ~np.eye(F.shape[0], dtype=bool))
+        G[rows[0], cols[0]] = np.nan
+        tape = Tape()
+        names = ("fused", "S1", "S2")
+        leaves = [tape.leaf(x) for x in (F, S1, S2)]
+        grads = tape.backward(ad.masked_sum(refine_graph(*leaves, gamma), G))
+        assert not np.isfinite(grads[leaves[1]][rows[0]]).any()
+        params = dict(zip(names, (F.copy(), S1.copy(), S2.copy())))
+        zeros = {name: np.zeros_like(p) for name, p in params.items()}
+        state = ModelState(params, zeros, {n: z.copy() for n, z in zeros.items()})
+        with pytest.raises(TrainingError, match="non-finite gradient"):
+            adam_step(state, {n: grads[leaf] for n, leaf in zip(names, leaves)}, 0.1)
 
 
 class TestInit:

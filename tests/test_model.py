@@ -11,7 +11,8 @@ from mvgcn.autodiff import Tape
 from mvgcn.data import SplitSpec, make_split, make_synthetic
 from mvgcn.errors import DataLoadError, ParameterError, TrainingError
 from mvgcn.experiment import feature_matrix, prepare_graphs
-from mvgcn.graphs import build_knn_graph, renormalize
+from mvgcn.graph_learning import SUPPORT_DENSITY_MAX
+from mvgcn.graphs import Graph, build_knn_graph, renormalize
 from mvgcn.model import (
     ModelState,
     adam_step,
@@ -43,6 +44,15 @@ def toy_instance(seed, m=30, classes=2, num_views=2, noise=0.15, n_per_view=4, k
         mats.append(X)
         graphs.append(renormalize(build_knn_graph(X, k)))
     return graphs, np.hstack(mats), labels
+
+
+def sparse_toy_instance(seed, m=44):
+    """A toy instance whose fused support lies below the cut, so refinement
+    takes its support layout."""
+    graphs, features, labels = toy_instance(seed, m=m, k=1, n_per_view=2)
+    nz = sum(g.adjacency for g in graphs) != 0
+    assert np.mean(nz | nz.T) <= SUPPORT_DENSITY_MAX
+    return graphs, features, labels
 
 
 class TestGcnLayer:
@@ -156,17 +166,30 @@ class TestForward:
         "dns_mode,raw_theta", [("soft", None), ("soft", 50.0), ("hard-topk", None), ("off", None)]
     )
     def test_backward_gives_every_node_its_own_gradient_buffer(self, dns_mode, raw_theta):
+        self._check_gradient_buffers(toy_instance(0, m=12), dns_mode, raw_theta)
+
+    @pytest.mark.parametrize(
+        "dns_mode,raw_theta", [("soft", None), ("soft", 50.0), ("hard-topk", None), ("off", None)]
+    )
+    def test_backward_gives_every_node_its_own_gradient_buffer_on_a_sparse_support(
+        self, dns_mode, raw_theta
+    ):
+        self._check_gradient_buffers(sparse_toy_instance(0), dns_mode, raw_theta)
+
+    @staticmethod
+    def _check_gradient_buffers(instance, dns_mode, raw_theta):
         # rules hand their fresh terms over as gradients; none may alias
         # another node's gradient or any node's value. A threshold above
         # every coefficient makes selection pass its gradient through.
-        graphs, features, labels = toy_instance(0, m=12)
-        state = init_model(2, 12, features.shape[1], 5, 2, np.random.default_rng(1))
+        graphs, features, labels = instance
+        m = len(labels)
+        state = init_model(2, m, features.shape[1], 5, 2, np.random.default_rng(1))
         if raw_theta is not None:
             state.params["raw_theta"][:] = raw_theta
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
         fwd = forward(tape, leaves, graphs, features, dns_mode=dns_mode, k=3)
-        tape.backward(masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6]))
+        tape.backward(masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, m // 2]))
         nodes = tape.nodes
         for i, node in enumerate(nodes):
             assert node.grad.flags.c_contiguous
@@ -174,6 +197,33 @@ class TestForward:
                 assert not np.shares_memory(node.grad, other.grad), (node, other)
             for other in nodes:
                 assert not np.shares_memory(node.grad, other.value), (node, other)
+
+    @pytest.mark.parametrize("use_glm", [True, False])
+    @pytest.mark.parametrize("layout", ["dense", "support"])
+    def test_relabeling_the_nodes_permutes_the_probabilities(self, layout, use_glm):
+        # with selection off; the soft mode's confidences follow node order
+        instance = toy_instance(21, m=12) if layout == "dense" else sparse_toy_instance(21)
+        graphs, features, labels = instance
+        m = len(labels)
+        rng = np.random.default_rng(22)
+        state = init_model(2, m, features.shape[1], 5, 2, rng)
+        state.params["raw_weights"][:] = rng.normal(size=(2, 2))
+        for name in ("S1", "S2"):
+            state.params[name] *= 3.0
+        perm = rng.permutation(m)
+        relabeled = ModelState(
+            {
+                name: p[np.ix_(perm, perm)] if name in ("S1", "S2") else p
+                for name, p in state.params.items()
+            },
+            state.first_moment,
+            state.second_moment,
+        )
+        views = [Graph(g.adjacency[np.ix_(perm, perm)], renormalized=True) for g in graphs]
+        settings = {"dns_mode": "off", "use_glm": use_glm}
+        Z = predict(state, graphs, features, **settings)
+        Z_relabeled = predict(relabeled, views, features[perm], **settings)
+        assert np.max(np.abs(Z_relabeled - Z[perm])) <= 1e-14
 
     def test_dns_off_uses_refined_graph(self):
         graphs, features, _ = toy_instance(5, m=10)
@@ -349,7 +399,14 @@ class TestTrain:
         assert losses[-1] < losses[0]
 
     def test_deterministic_given_seed(self):
-        graphs, features, labels = toy_instance(15, m=16)
+        self._check_deterministic(toy_instance(15, m=16))
+
+    def test_deterministic_given_seed_on_a_sparse_support(self):
+        self._check_deterministic(sparse_toy_instance(15))
+
+    @staticmethod
+    def _check_deterministic(instance):
+        graphs, features, labels = instance
         runs = [
             train(graphs, features, labels, 2, [0, 9], seed=7, epochs=10, hidden=4, k=3)
             for _ in range(2)
@@ -414,27 +471,37 @@ class TestTrain:
 
 class TestFullModelGradients:
     def test_every_parameter_matches_finite_differences(self):
+        self._check(lambda seed: toy_instance(seed, m=6, k=2, n_per_view=2), 1e-3)
+
+    def test_every_parameter_matches_finite_differences_on_a_sparse_support(self):
+        # 44 nodes crowd the column scores and gains: no seed below 300
+        # keeps 1e-3 from every kink, and 1e-4 is still 100 probe steps
+        self._check(sparse_toy_instance, 1e-4)
+
+    @staticmethod
+    def _check(instance, margin):
         # raw_theta must sit away from 0: the normalized confidences always
         # contain a 0 and a 1, so their mid coefficient is exactly 0.5, which
         # is the threshold sigmoid(0) would produce; wider shrinkage factors
         # spread the column scores so their pairwise gaps clear the margin
         gamma, tau = 1.0, 0.5
         for seed in range(300):
-            graphs, features, labels = toy_instance(seed, m=6, k=2, n_per_view=2)
+            graphs, features, labels = instance(seed)
+            m = len(labels)
             rng = np.random.default_rng(1000 + seed)
-            state = init_model(2, 6, features.shape[1], 3, 2, rng)
+            state = init_model(2, m, features.shape[1], 3, 2, rng)
             state.params["raw_weights"][:] = 0.3 * rng.normal(size=(2, 2))
             state.params["S1"] *= 2.5
             state.params["S2"] *= 2.5
             state.params["raw_theta"][:] = -0.35
-            if smoothness_margin(graphs, features, state, gamma, tau) >= 1e-3:
+            if smoothness_margin(graphs, features, state, gamma, tau) >= margin:
                 break
         else:
             pytest.fail("no kink-free evaluation point found")
 
         names = list(state.params)
         Y = one_hot(labels, 2)
-        omega = [0, 4]
+        omega = [0, m - 2]
 
         def build(tape, leaves):
             by_name = dict(zip(names, leaves))
