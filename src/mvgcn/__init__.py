@@ -44,9 +44,9 @@ from .experiment import (
     run_single,
     run_sweep,
 )
-from .fusion import FusionResult, fuse_views, init_fusion_weights
+from .fusion import FusionResult, edge_support, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
-from .graphs import METRICS, Graph, build_knn_graph, renormalize
+from .graphs import METRICS, EdgeSupport, Graph, build_knn_graph, renormalize
 from .model import (
     ForwardPass,
     ModelState,
@@ -105,11 +105,13 @@ __all__ = [
     "run_single",
     "run_sweep",
     "FusionResult",
+    "edge_support",
     "fuse_views",
     "init_fusion_weights",
     "init_glm_params",
     "refine_graph",
     "METRICS",
+    "EdgeSupport",
     "Graph",
     "build_knn_graph",
     "renormalize",

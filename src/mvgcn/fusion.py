@@ -7,6 +7,12 @@ W). That average is linear in the views, so the tape records it as a single
 weighted sum, fused = sum_i c_i * A_i with coefficients c = alpha @ W; the
 gradient reaches the raw mixing weights through c. The complementary graphs
 themselves are computed as plain values, for inspection only.
+
+The fused adjacency is a 1 x nnz row of edge values on the views'
+``EdgeSupport`` (``edge_support``), the union of their nonzero entries:
+every view is zero off it, so the fused graph is too, and each edge holds
+the bits the m x m weighted sum holds there. Its gradient lives on the
+same edges.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .errors import ParameterError, ShapeError
-from .graphs import Graph
+from .graphs import EdgeSupport, Graph
 
 
 def normalize_weights(raw: Node) -> Node:
@@ -27,14 +33,9 @@ def normalize_weights(raw: Node) -> Node:
     return ad.softmax_rows(raw)
 
 
-def _check_views(views: list[Graph], W: Node) -> None:
-    V = len(views)
-    if V == 0:
+def _check_views(views: list[Graph]) -> None:
+    if not views:
         raise ParameterError("need at least one view")
-    if W.value.shape != (V, V):
-        raise ShapeError(
-            f"mixing weights shape {W.value.shape} does not match {V} views"
-        )
     m = views[0].num_nodes
     for g in views:
         if g.num_nodes != m:
@@ -45,10 +46,25 @@ def _check_views(views: list[Graph], W: Node) -> None:
             raise ParameterError("fusion expects renormalized per-view graphs")
 
 
+def _check_weights(W: Node, num_views: int) -> None:
+    if W.value.shape != (num_views, num_views):
+        raise ShapeError(
+            f"mixing weights shape {W.value.shape} does not match {num_views} views"
+        )
+
+
+def edge_support(views: list[Graph]) -> EdgeSupport:
+    """The edge support of the renormalized per-view graphs, with each
+    view's values on it."""
+    _check_views(views)
+    return EdgeSupport.of([g.adjacency for g in views])
+
+
 def complementary_graphs(views: list[Graph], W: Node) -> list[np.ndarray]:
     """One weighted-sum graph per view, out[v] = sum_i W[v, i] * A_i, as
-    plain arrays (off the tape)."""
-    _check_views(views, W)
+    plain m x m arrays (off the tape)."""
+    _check_views(views)
+    _check_weights(W, len(views))
     return [
         sum(w * g.adjacency for w, g in zip(row, views)) for row in W.value
     ]
@@ -62,19 +78,20 @@ def view_importance(W: Node) -> Node:
 
 @dataclass
 class FusionResult:
-    """Tape nodes for the mixing weights, the importances and the fused graph."""
+    """Tape nodes for the mixing weights, the importances and the fused
+    graph's edge values."""
 
     weights: Node
     importance: Node
     fused: Node
 
 
-def fuse_views(views: list[Graph], raw: Node) -> FusionResult:
-    """Full cascade from raw mixing weights to the fused adjacency."""
+def fuse_views(support: EdgeSupport, raw: Node) -> FusionResult:
+    """Full cascade from raw mixing weights to the fused edge values."""
     W = normalize_weights(raw)
-    _check_views(views, W)
+    _check_weights(W, len(support.views))
     alpha = view_importance(W)
-    fused = ad.weighted_sum(ad.matmul(alpha, W), [g.adjacency for g in views])
+    fused = ad.weighted_sum(ad.matmul(alpha, W), support.views)
     return FusionResult(W, alpha, fused)
 
 

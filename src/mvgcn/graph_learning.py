@@ -8,47 +8,31 @@ floating point too. Its diagonal is therefore exactly zero and the mask
 diagonal exactly 0.5, and the mask (and hence the refined adjacency of a
 symmetric input) is exactly symmetric.
 
+The fused adjacency is a 1 x nnz row of edge values on an ``EdgeSupport``
+(see ``fusion``), and so is the refined one: the gate only scales entries,
+so it is zero wherever the fused graph is. The score and the mask are
+computed at the edges only, from the dense product P gathered there and at
+the twin edges; each edge gets the bits an m x m computation would give it.
+
 ``refine_graph`` records the stage as one tape node, ``refine``, whose
-parents are the fused adjacency, S1 and S2, with a hand-derived backward
+parents are the fused edge values, S1 and S2, with a hand-derived backward
 rule. With D the upstream gradient carried back to the score, the gradient
 at P is dP = D - D^T, because P enters the score once as itself and once
-transposed with a minus sign; dP is therefore exactly antisymmetric. S1
-then gets dP S2 and S2 gets (S1^T dP)^T = dP^T S1 = -(dP S1).
-
-D has the fused adjacency as a factor, so dP is zero off the symmetric
-support of ``fused`` (the entries where it or its transpose is nonzero).
-The op picks one of two layouts from that support's density:
-
-- Dense, when the support holds more than a tenth of the m^2 entries: the
-  mask and the score are m x m arrays, kept for the backward rule, which
-  takes dense products for the S1 and S2 terms.
-- Support, otherwise: the score and the mask are computed at the support
-  entries only, and the refined adjacency is zero elsewhere. The rule keeps
-  nnz-long vectors (row and column indices, mask, score), forms dP on the
-  support and takes both terms as CSR x dense products. The dense product
-  P = S1 S2^T stays in the forward pass.
-
-Both layouts give the same refined adjacency and the same dP, bit for bit;
-the sparse products add in another order, so the S1 and S2 gradients agree
-to rounding. The gradient to ``fused`` is taken on its sparsity pattern,
-which is a constant of the forward values, like the nonzero counts in node
-selection: the support layout gives 0 off the support, where the dense one
-gives g * mask. The model's views are nonnegative and fused with positive
-coefficients, so each view is zero off the support and the fusion weights
-get the same gradient from either.
+transposed with a minus sign; dP is therefore exactly antisymmetric. D has
+the fused adjacency as a factor, so dP lives on the support: the rule reads
+D^T at the twin edges and takes S1's gradient dP S2 and S2's gradient
+(S1^T dP)^T = dP^T S1 = -(dP S1) as CSR x dense products. The fused graph
+gets g * mask on its edges. Its gradient is taken on its sparsity pattern,
+a constant of the forward values like the nonzero counts in node
+selection; the views are zero off the support, so the fusion weights get
+the gradient an m x m layout would give them, up to the order of summation.
 """
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .autodiff import Node, _accumulate, _same_tape
 from .errors import ParameterError, ShapeError
-
-# Largest support density that takes the support layout. Measured per
-# forward + backward on the fused k=10 KNN graphs of synthetic data (2 vCPUs,
-# one BLAS thread), dense against support: m=200 (density 13.7%) 2.8 against
-# 3.0 ms, m=300 (10.4%) 8.4 against 7.6 ms, m=400 (8.2%) 16.6 against 11.0 ms.
-SUPPORT_DENSITY_MAX = 0.1
+from .graphs import EdgeSupport
 
 
 def init_glm_params(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +70,10 @@ def _score_gradient(g, fused, mask, score, gamma) -> np.ndarray:
     return D
 
 
-def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float) -> Node:
-    """Entrywise product of the fused adjacency with its shrinkage mask,
-    recorded as one tape node whose parents are ``fused``, ``S1`` and ``S2``.
+def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float, support: EdgeSupport) -> Node:
+    """Entrywise product of the fused edge values with their shrinkage
+    mask, recorded as one tape node whose parents are ``fused``, ``S1`` and
+    ``S2``.
 
     The subgradient of the absolute value at a zero score is 0.
     """
@@ -96,59 +81,26 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float) -> Node:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     tape = _same_tape(fused, S1, "refine_graph")
     _same_tape(fused, S2, "refine_graph")
-    m = fused.value.shape[0]
+    m = support.num_nodes
+    if fused.value.shape != (1, support.nnz):
+        raise ShapeError(
+            f"fused edge values of shape {fused.value.shape} do not match {support.nnz} edges"
+        )
     for name, p in (("S1", S1), ("S2", S2)):
         if p.value.shape != (m, m):
-            raise ShapeError(
-                f"{name} shape {p.value.shape} does not match adjacency {fused.value.shape}"
-            )
+            raise ShapeError(f"{name} shape {p.value.shape} does not match {m} nodes")
     # S2 S1^T is (S1 S2^T)^T: one product gives the score, exactly antisymmetric
     P = S1.value @ S2.value.T
-    nz = fused.value != 0
-    support = nz | nz.T
-    del nz
-    if np.count_nonzero(support) > SUPPORT_DENSITY_MAX * m * m:
-        score = P - P.T
-        del P, support
-        mask = _shrinkage_mask(score, gamma)
-        out = Node(fused.value * mask, (fused, S1, S2), "refine", tape)
-
-        def _bw(g):
-            _accumulate(fused, g * mask, owned=True)
-            D = _score_gradient(g, fused.value, mask, score, gamma)
-            dP = D - D.T
-            del D
-            _accumulate(S1, dP @ S2.value, owned=True)
-            # a transposed view, so _accumulate copies it into C order
-            _accumulate(S2, (S1.value.T @ dP).T, owned=True)
-
-        out._backward = _bw
-        return out
-
-    # row-major, so the rows come sorted and the columns of each row ascend
-    flat = np.flatnonzero(support)
-    del support
-    rows, cols = np.divmod(flat, m)
-    twin = cols * m + rows
-    score = P.take(flat) - P.take(twin)
+    P = P.take(support.flat)
+    score = P - P[support.twin]
     del P
     mask = _shrinkage_mask(score, gamma)
-    value = np.zeros((m, m))
-    np.put(value, flat, fused.value.take(flat) * mask)
-    out = Node(value, (fused, S1, S2), "refine", tape)
+    out = Node(fused.value * mask, (fused, S1, S2), "refine", tape)
 
     def _bw(g):
-        flat, twin = rows * m + cols, cols * m + rows
-        g_flat = g.take(flat)
-        term = np.zeros((m, m))
-        np.put(term, flat, g_flat * mask)
-        _accumulate(fused, term, owned=True)
-        # the transposed entry's D: its score is exactly -score (+0.0 stays
-        # +0.0 under sign) and its mask is the same
-        dP = _score_gradient(g_flat, fused.value.take(flat), mask, score, gamma)
-        dP -= _score_gradient(g.take(twin), fused.value.take(twin), mask, -score, gamma)
-        indptr = np.searchsorted(rows, np.arange(m + 1))
-        dP = csr_array((dP, cols, indptr), shape=(m, m))
+        _accumulate(fused, g * mask, owned=True)
+        D = _score_gradient(g[0], fused.value[0], mask, score, gamma)
+        dP = support.csr(D - D[support.twin])
         _accumulate(S1, dP @ S2.value, owned=True)
         # dP is antisymmetric, so (S1^T dP)^T = dP^T S1 = -(dP S1)
         S2_term = dP @ S1.value

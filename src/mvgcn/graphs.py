@@ -1,10 +1,16 @@
-"""KNN adjacency construction and symmetric degree renormalization.
+"""KNN adjacency construction, symmetric degree renormalization, and the
+edge support the learned graph lives on.
 
 Each point's k nearest neighbours come from one row-wise partition of the
 distance matrix: every distance below the row's k-th smallest is taken, and
 the remaining places go to the entries equal to it, lowest sample index
 first. The chosen set is the first k entries of the row's stable argsort,
 bit for bit, without sorting any row.
+
+Fusion, refinement and node selection only ever scale entries where some
+view is nonzero, so the graphs they produce are carried as edge values on
+one ``EdgeSupport``: a 1 x nnz row holding the value of each edge, with
+every entry off the support zero.
 """
 
 from __future__ import annotations
@@ -12,11 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from .errors import DomainError, ParameterError, ShapeError
 
 METRICS = ("euclidean", "cosine")
+
+# Gathered entries per block of the sampled product, so that a block's rows
+# stay in cache: 1.3 against 4.4 ms for the whole array at m=800 and 30
+# columns, and no slower at m=200 or at 4 and 64 columns.
+_SDDMM_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -29,6 +41,86 @@ class Graph:
     @property
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeSupport:
+    """The entries where any of some m x m matrices, or its transpose, is
+    nonzero, in row-major order.
+
+    Edge e is (``rows[e]``, ``cols[e]``), at flat index ``flat[e]`` of an
+    m x m array: rows ascend, and columns ascend within a row. ``indptr`` is
+    the CSR row pointer, ``twin[e]`` the edge (``cols[e]``, ``rows[e]``),
+    which the symmetrized support always holds, and ``views`` each input
+    matrix's values on the edges, as 1 x nnz rows.
+    """
+
+    num_nodes: int
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+    indptr: np.ndarray
+    twin: np.ndarray
+    views: tuple
+
+    @classmethod
+    def of(cls, matrices) -> EdgeSupport:
+        arrays = [np.asarray(x, dtype=np.float64) for x in matrices]
+        if not arrays:
+            raise ParameterError("an edge support needs at least one matrix")
+        m = arrays[0].shape[0]
+        for x in arrays:
+            if x.shape != (m, m):
+                raise ShapeError(f"matrix shapes {[x.shape for x in arrays]} are not one square shape")
+        nz = arrays[0] != 0
+        for x in arrays[1:]:
+            nz |= x != 0
+        nz |= nz.T
+        flat = np.flatnonzero(nz)
+        rows, cols = np.divmod(flat, m)
+        return cls(
+            num_nodes=m,
+            rows=rows,
+            cols=cols,
+            flat=flat,
+            indptr=np.searchsorted(rows, np.arange(m + 1)),
+            # the k-th smallest transposed index is flat[k], the twin of edge k
+            twin=np.argsort(cols * m + rows),
+            views=tuple(x.take(flat).reshape(1, -1) for x in arrays),
+        )
+
+    @property
+    def nnz(self) -> int:
+        return self.flat.size
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """The entries of an m x m array at the edges, as a 1 x nnz row."""
+        return dense.take(self.flat).reshape(1, -1)
+
+    def densify(self, edges: np.ndarray) -> np.ndarray:
+        """The m x m array holding ``edges`` on the support and 0 elsewhere."""
+        out = np.zeros((self.num_nodes, self.num_nodes))
+        np.put(out, self.flat, edges)
+        return out
+
+    def csr(self, edges: np.ndarray) -> csr_array:
+        """Edge values as a sparse m x m matrix, without a sort or a copy of the structure."""
+        m = self.num_nodes
+        return csr_array((np.ravel(edges), self.cols, self.indptr), shape=(m, m))
+
+    def sddmm(self, G: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(G @ B.T) sampled at the edges, as a 1 x nnz row: edge (r, c)
+        gets the dot product of row r of G with row c of B."""
+        out = np.empty(self.nnz)
+        step = max(1, _SDDMM_BLOCK_ENTRIES // B.shape[1])
+        for start in range(0, self.nnz, step):
+            block = slice(start, start + step)
+            out[block] = np.einsum(
+                "ij,ij->i",
+                G.take(self.rows[block], axis=0),
+                B.take(self.cols[block], axis=0),
+            )
+        return out.reshape(1, -1)
 
 
 def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.ndarray:

@@ -8,6 +8,15 @@ per tape. A model is a flat name-to-array parameter registry so the
 optimizer, the checkpoint format, and the gradient checks all see the same
 thing.
 
+The graph passes between the stages as a 1 x nnz row of edge values on
+the views' ``EdgeSupport``, built once per ``train`` and once per
+``predict`` call: fusion, refinement and selection produce edge values,
+and each convolution takes its adjacency product as a CSR x dense product.
+Its backward rule gives the dense operand A^T g, also a CSR product, and
+the adjacency the sampled product (g B^T) at the edges. So the gradients of
+the fused, refined and selected graphs exist on the edges only, the
+sparsity pattern being a constant of the forward values.
+
 A checkpoint (format 2) is one JSON object: ``format``, ``step``,
 ``config`` and its ``config_hash``, and three sections (``params``,
 ``first_moment``, ``second_moment``) mapping each parameter name to
@@ -25,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NoGradTape, Node, Tape
+from .autodiff import NoGradTape, Node, Tape, _accumulate, _same_tape
 from .config import DNS_MODES as CONFIG_DNS_MODES
 from .errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from .fileio import atomic_open
-from .fusion import FusionResult, fuse_views, init_fusion_weights
+from .fusion import FusionResult, edge_support, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
-from .graphs import Graph
+from .graphs import EdgeSupport, Graph
 from .selection import SelectionResult, differentiable_node_selection, hard_topk_baseline
 
 ADAM_BETA1 = 0.9
@@ -87,17 +96,37 @@ def init_model(
     return ModelState(params, zeros, {k: v.copy() for k, v in zeros.items()})
 
 
-def gcn_layer(A: Node, H: Node, W: Node, activation: str = "none") -> Node:
-    """One propagation step: activation(A @ H @ W).
+def _propagate(A: Node, B: Node, support: EdgeSupport) -> Node:
+    """The product of the edge values ``A`` on ``support`` with a dense
+    ``B``, as one CSR x dense product."""
+    tape = _same_tape(A, B, "gcn_layer")
+    out = Node(support.csr(A.value) @ B.value, (A, B), "spmm", tape)
 
-    The m x m product is taken on the narrower side: A @ (H @ W) when W
+    def _bw(g):
+        _accumulate(A, support.sddmm(g, B.value), owned=True)
+        # A^T holds at each edge the value of its twin
+        _accumulate(B, support.csr(A.value[0, support.twin]) @ g, owned=True)
+
+    out._backward = _bw
+    return out
+
+
+def gcn_layer(
+    A: Node, H: Node, W: Node, support: EdgeSupport, activation: str = "none"
+) -> Node:
+    """One propagation step: activation(A @ H @ W), with ``A`` the edge
+    values of the adjacency on ``support``.
+
+    The adjacency product is taken on the narrower side: A @ (H @ W) when W
     narrows the features, (A @ H) @ W otherwise.
     """
+    if A.value.shape != (1, support.nnz):
+        raise ShapeError(f"edge values of shape {A.value.shape} do not match {support.nnz} edges")
     d_in, d_out = W.value.shape
     if d_out < d_in:
-        out = ad.matmul(A, ad.matmul(H, W))
+        out = _propagate(A, ad.matmul(H, W), support)
     else:
-        out = ad.matmul(ad.matmul(A, H), W)
+        out = ad.matmul(_propagate(A, H, support), W)
     if activation == "relu":
         return ad.relu(out)
     if activation == "softmax-rows":
@@ -109,8 +138,10 @@ def gcn_layer(A: Node, H: Node, W: Node, activation: str = "none") -> Node:
 
 @dataclass
 class ForwardPass:
-    """Every stage of one forward evaluation, still on the tape."""
+    """Every stage of one forward evaluation, still on the tape. The graphs
+    are edge values on ``support``."""
 
+    support: EdgeSupport
     fusion: FusionResult
     refined: Node
     selection: SelectionResult | None
@@ -121,7 +152,7 @@ class ForwardPass:
 def forward(
     tape: Tape,
     leaves: dict[str, Node],
-    views: list[Graph],
+    support: EdgeSupport,
     features: np.ndarray,
     *,
     gamma: float = 1.0,
@@ -130,7 +161,8 @@ def forward(
     dns_mode: str = "soft",
     k: int = 10,
 ) -> ForwardPass:
-    """Run the full pipeline from per-view graphs to class probabilities.
+    """Run the full pipeline from the per-view graphs' edge support
+    (``fusion.edge_support``) to class probabilities.
 
     The keyword settings are the forward pass's share of a run config (see
     ``experiment.forward_settings``): ``gamma`` sharpens the shrinkage mask,
@@ -140,29 +172,30 @@ def forward(
     """
     if dns_mode not in DNS_MODES:
         raise ParameterError(f"dns_mode must be one of {DNS_MODES}, got {dns_mode!r}")
-    fusion = fuse_views(views, leaves["raw_weights"])
+    fusion = fuse_views(support, leaves["raw_weights"])
     if use_glm:
-        refined = refine_graph(fusion.fused, leaves["S1"], leaves["S2"], gamma)
+        refined = refine_graph(fusion.fused, leaves["S1"], leaves["S2"], gamma, support)
     else:
         refined = fusion.fused
 
     selection = None
     if dns_mode == "soft":
-        selection = differentiable_node_selection(refined, leaves["raw_theta"], tau)
+        selection = differentiable_node_selection(refined, leaves["raw_theta"], tau, support)
         adjacency = selection.selected
     elif dns_mode == "hard-topk":
         # non-differentiable baseline: the selected graph is a constant of
-        # the current forward values, so no gradient reaches the stages above
-        adjacency = tape.leaf(hard_topk_baseline(refined.value, k))
+        # the current forward values, so no gradient reaches the stages above;
+        # the rows' top k are nonzero edges or zeros, so the support holds them
+        adjacency = tape.leaf(support.gather(hard_topk_baseline(support.densify(refined.value), k)))
     else:
         adjacency = refined
 
     H = tape.leaf(features)
     num_layers = sum(1 for name in leaves if name.startswith("W"))
     for l in range(1, num_layers):
-        H = gcn_layer(adjacency, H, leaves[f"W{l}"], "relu")
-    Z = gcn_layer(adjacency, H, leaves[f"W{num_layers}"], "softmax-rows")
-    return ForwardPass(fusion, refined, selection, adjacency, Z)
+        H = gcn_layer(adjacency, H, leaves[f"W{l}"], support, "relu")
+    Z = gcn_layer(adjacency, H, leaves[f"W{num_layers}"], support, "softmax-rows")
+    return ForwardPass(support, fusion, refined, selection, adjacency, Z)
 
 
 def masked_cross_entropy(Z: Node, Y: np.ndarray, labeled) -> Node:
@@ -298,12 +331,13 @@ def train(
         layers=layers,
     )
 
+    support = edge_support(views)
     history = []
     Z_value = None
     for iteration in range(1, epochs + 1):
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-        fwd = forward(tape, leaves, views, features, **forward_kwargs)
+        fwd = forward(tape, leaves, support, features, **forward_kwargs)
         loss = masked_cross_entropy(fwd.probabilities, Y, labeled_idx)
         loss_value = float(loss.value[0, 0])
         if not np.isfinite(loss_value):
@@ -335,7 +369,8 @@ def predict(
     """Class probabilities under the given parameters, off the training loop."""
     tape = NoGradTape()
     leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-    return forward(tape, leaves, views, features, **forward_kwargs).probabilities.value
+    support = edge_support(views)
+    return forward(tape, leaves, support, features, **forward_kwargs).probabilities.value
 
 
 # ---------------------------------------------------------------------------

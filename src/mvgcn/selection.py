@@ -15,15 +15,23 @@ coefficients use it as node i's confidence. Relabeling the nodes therefore
 changes the soft mode's output. With selection off, the forward pass
 permutes with the nodes.
 
+The adjacency is a 1 x nnz row of edge values on an ``EdgeSupport`` (see
+``fusion``). The column scores count and sum the nonzero edge values of
+each column, and the gate scales the edges only; off the support the
+adjacency is zero and stays zero. The coefficients and the gate's peak are
+still those of all m^2 node pairs: the largest coefficient is
+C_ii = ibar_i at the most confident node, so the peak is
+max(ibar_max - theta, 0), read off the m confidences.
+
 The stage functions take and return plain arrays.
 ``differentiable_node_selection`` chains them and records the whole pipeline,
 from the adjacency and the raw threshold to the selected adjacency, as one
-tape node with a hand-derived backward rule. That rule keeps three m x m
-arrays from the forward pass: the relaxed permutation P, 2^P, and the gate
-that scaled the edges. The returned ``SelectionResult`` also holds the edge
-coefficients; every other intermediate is freed when the op returns. The
-hard top-k variant at the bottom is a plain array routine kept for
-comparison runs.
+tape node with a hand-derived backward rule. That rule keeps two m x m
+arrays from the forward pass, the relaxed permutation P and 2^P, and the
+gate's scale on the edges. The returned ``SelectionResult`` builds the
+m x m edge coefficients only when asked for them; every other intermediate
+is freed when the op returns. The hard top-k variant at the bottom is a
+plain m x m array routine kept for comparison runs.
 """
 
 from dataclasses import dataclass
@@ -39,24 +47,28 @@ from .autodiff import (
     _softmax_rows_grad,
 )
 from .errors import DomainError, ParameterError, ShapeError
-from .graphs import _smallest_k_mask
+from .graphs import EdgeSupport, _smallest_k_mask
 
 _LOG2 = float(np.log(2.0))
 
 
-def _column_means(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the means and the inverse nonzero counts behind them, as 1 x m rows
-    counts = np.count_nonzero(adj, axis=0).astype(float).reshape(1, -1)
+def _column_means(adj: np.ndarray, support: EdgeSupport) -> tuple[np.ndarray, np.ndarray]:
+    # the means and the inverse nonzero counts behind them, as 1 x m rows;
+    # bincount adds each column's edges in row order, as a sum over axis 0
+    # of the m x m array does
+    m = support.num_nodes
+    counts = np.bincount(support.cols, weights=adj[0] != 0, minlength=m).reshape(1, -1)
     inverse_counts = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-    return adj.sum(axis=0, keepdims=True) * inverse_counts, inverse_counts
+    sums = np.bincount(support.cols, weights=adj[0], minlength=m).reshape(1, -1)
+    return sums * inverse_counts, inverse_counts
 
 
-def column_mean_nonzero(adj: np.ndarray) -> np.ndarray:
-    """Mean of the nonzero entries in each column, as a 1 x m row.
+def column_mean_nonzero(adj: np.ndarray, support: EdgeSupport) -> np.ndarray:
+    """Mean of the nonzero edge values in each column, as a 1 x m row.
 
     Columns with no nonzero entries score 0.
     """
-    return _column_means(adj)[0]
+    return _column_means(adj, support)[0]
 
 
 def _check_row(vector: np.ndarray, what: str) -> None:
@@ -119,31 +131,54 @@ def confidence_coefficients(ibar: np.ndarray) -> np.ndarray:
     return (ibar.T + ibar) * 0.5
 
 
-def _gate_edges(adj: np.ndarray, C: np.ndarray, raw_theta: np.ndarray):
+def _gate_edges(adj: np.ndarray, ibar: np.ndarray, raw_theta: np.ndarray, support: EdgeSupport):
     """``select_nodes``, also returning the scale relu(C - theta) / peak that
-    multiplied the edges and its peak; the scale is None when the adjacency
-    passes through."""
-    if C.shape != adj.shape:
-        raise ShapeError(f"coefficient shape {C.shape} does not match adjacency {adj.shape}")
+    multiplied the edges, the threshold and the peak; the scale is None when
+    the adjacency passes through."""
+    _check_row(ibar, "confidences")
+    if ibar.shape[1] != support.num_nodes:
+        raise ShapeError(f"{ibar.shape[1]} confidences do not match {support.num_nodes} nodes")
     if raw_theta.shape != (1, 1):
         raise ShapeError(f"threshold must be 1x1, got shape {raw_theta.shape}")
-    gated = np.maximum(C - _sigmoid_array(raw_theta), 0.0)
-    peak = float(gated.max())
+    theta = _sigmoid_array(raw_theta)[0, 0]
+    # C_ii = (ibar_i + ibar_i) / 2 = ibar_i exactly, and no pair's coefficient
+    # exceeds the larger of its two confidences
+    peak = max(float(ibar.max() - theta), 0.0)
     if peak == 0.0:
-        return adj, None, peak
-    scale = gated / peak
-    return adj * scale, scale, peak
+        return adj, None, theta, peak
+    C = (ibar[0, support.rows] + ibar[0, support.cols]) * 0.5
+    scale = np.maximum(C - theta, 0.0) / peak
+    return adj * scale, scale, theta, peak
 
 
-def select_nodes(adj: np.ndarray, C: np.ndarray, raw_theta: np.ndarray) -> np.ndarray:
+def select_nodes(
+    adj: np.ndarray, ibar: np.ndarray, raw_theta: np.ndarray, support: EdgeSupport
+) -> np.ndarray:
     """Gate edges by thresholded confidence.
 
-    The threshold is sigmoid(raw_theta). Coefficients at or below it zero
-    out; survivors are rescaled by their maximum so the strongest edge keeps
-    its full weight. If the threshold tops every coefficient the adjacency
-    passes through unchanged rather than collapsing to zero.
+    An edge (i, j) has the coefficient C_ij = (ibar_i + ibar_j) / 2
+    (``confidence_coefficients``), and the threshold is sigmoid(raw_theta).
+    Coefficients at or below it zero out; survivors are divided by the
+    largest C - theta over all m^2 node pairs, the most confident node's own,
+    so its self-loop keeps its full weight. If the threshold tops every
+    coefficient the adjacency passes through unchanged rather than
+    collapsing to zero.
     """
-    return _gate_edges(adj, C, raw_theta)[0]
+    return _gate_edges(adj, ibar, raw_theta, support)[0]
+
+
+def _peak_position(ibar: np.ndarray, theta: float, peak: float) -> tuple[int, int]:
+    """Row and column of the first flat argmax of the m x m scale
+    relu(C - theta) / peak, from the 1-D confidences in O(m).
+
+    Neither C_ij nor the scale falls as ibar_j grows, so every row peaks at
+    the most confident column; the first row that reaches the overall
+    maximum holds the first argmax, at its own first maximum.
+    """
+    row_peaks = np.maximum((ibar + ibar.max()) * 0.5 - theta, 0.0) / peak
+    i = int(np.argmax(row_peaks))
+    row = np.maximum((ibar[i] + ibar) * 0.5 - theta, 0.0) / peak
+    return i, int(np.argmax(row))
 
 
 def _gap_sum_grad(a: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -166,18 +201,24 @@ def _gap_sum_grad(a: np.ndarray, u: np.ndarray) -> np.ndarray:
 @dataclass
 class SelectionResult:
     """Every stage of the selection pipeline: plain arrays, and the selected
-    adjacency as the one tape node the pipeline records."""
+    edge values as the one tape node the pipeline records."""
 
     scores: np.ndarray
     permutation: np.ndarray
     confidence: np.ndarray
-    coefficients: np.ndarray
     selected: Node
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The m x m edge coefficients, built on each request."""
+        return confidence_coefficients(self.confidence)
 
-def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> SelectionResult:
-    """Full pipeline from a refined adjacency to the selected one, recorded as
-    one tape node whose parents are ``adj`` and ``raw_theta``.
+
+def differentiable_node_selection(
+    adj: Node, raw_theta: Node, tau: float, support: EdgeSupport
+) -> SelectionResult:
+    """Full pipeline from refined edge values to the selected ones, recorded
+    as one tape node whose parents are ``adj`` and ``raw_theta``.
 
     Gradient conventions: the nonzero counts behind the column scores, the
     positions of the confidence extremes and the position of the gate's peak
@@ -185,17 +226,18 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
     gradient. All-equal confidences are a constant 0.5 and pass no gradient
     to the scores. When the threshold tops every coefficient the adjacency
     passes through: ``adj`` gets the upstream gradient unchanged and
-    ``raw_theta`` gets 0.
+    ``raw_theta`` gets 0. ``adj`` gets its gradient on the edges only.
     """
     tape = _same_tape(adj, raw_theta, "differentiable_node_selection")
     A = adj.value
-    a_s, inverse_counts = _column_means(A)
+    if A.shape != (1, support.nnz):
+        raise ShapeError(f"edge values of shape {A.shape} do not match {support.nnz} edges")
+    a_s, inverse_counts = _column_means(A, support)
     P = relaxed_permutation(a_s, tau)
     exp2_P = np.exp2(P)
     raw = _discounted_gain(exp2_P)
     ibar = normalize_confidence(raw)
-    C = confidence_coefficients(ibar)
-    selected, scale, peak = _gate_edges(A, C, raw_theta.value)
+    selected, scale, theta, peak = _gate_edges(A, ibar, raw_theta.value, support)
     out = Node(selected, (adj, raw_theta), "select", tape)
 
     def _bw(g):
@@ -203,35 +245,49 @@ def differentiable_node_selection(adj: Node, raw_theta: Node, tau: float) -> Sel
             _accumulate(adj, g)
             _accumulate(raw_theta, np.zeros((1, 1)), owned=True)
             return
+        m = support.num_nodes
         # selected = A * scale, scale = gated / peak, gated = relu(C - theta)
-        d_scale = g * A
+        d_scale = g[0] * A[0]
         d_gated = d_scale / peak
-        d_gated.flat[np.argmax(scale)] -= np.vdot(d_scale, scale) / peak
+        # the peak's own term goes to its position, which may lie off the
+        # support; there d_gated is otherwise 0 and the scale is 1, so the
+        # term enters that row's and that column's sums and the total as is
+        peak_term = np.vdot(d_scale, scale) / peak
+        i, j = _peak_position(ibar[0], theta, peak)
+        e = int(np.searchsorted(support.flat, i * m + j))
+        on_support = e < support.nnz and support.flat[e] == i * m + j
+        if on_support:
+            d_gated[e] -= peak_term
         d_gated *= scale > 0.0
-        theta = _sigmoid_array(raw_theta.value)
-        _accumulate(raw_theta, -d_gated.sum() * theta * (1.0 - theta), owned=True)
+        off_support = 0.0 if on_support else peak_term
+        d_theta = -(d_gated.sum() - off_support) * theta * (1.0 - theta)
+        _accumulate(raw_theta, np.array([[d_theta]]), owned=True)
         grad_adj = g * scale
         spread = raw.max() - raw.min()
         if spread != 0.0:
+            row_sums = np.bincount(support.rows, weights=d_gated, minlength=m)
+            col_sums = np.bincount(support.cols, weights=d_gated, minlength=m)
+            row_sums[i] -= off_support
+            col_sums[j] -= off_support
             # C = (ibar_i + ibar_j) / 2, ibar = (raw - lo) / (hi - lo)
-            d_ibar = 0.5 * (d_gated.sum(axis=1) + d_gated.sum(axis=0))
+            d_ibar = 0.5 * (row_sums + col_sums)
             d_raw = d_ibar / spread
             d_spread = -np.dot(d_ibar, ibar[0]) / spread
             d_low = -d_raw.sum() - d_spread
             d_raw[np.argmax(raw)] += d_spread
             d_raw[np.argmin(raw)] += d_low
             # raw_i = sum_j (2^P_ij - 1) d_j, P = softmax(logits)
-            d_P = exp2_P * np.outer(d_raw, _discounts(A.shape[0]) * _LOG2)
+            d_P = exp2_P * np.outer(d_raw, _discounts(m) * _LOG2)
             d_logits = _softmax_rows_grad(P, d_P)
             # logits_ij = (rank_i a_j - gap_sum_j) / tau
-            d_scores = _ranks(A.shape[0])[:, 0] @ d_logits
+            d_scores = _ranks(m)[:, 0] @ d_logits
             d_scores += _gap_sum_grad(a_s[0], -d_logits.sum(axis=0))
             d_scores /= tau
-            grad_adj += d_scores * inverse_counts
+            grad_adj += (d_scores * inverse_counts[0])[support.cols]
         _accumulate(adj, grad_adj, owned=True)
 
     out._backward = _bw
-    return SelectionResult(a_s, P, ibar, C, out)
+    return SelectionResult(a_s, P, ibar, out)
 
 
 def hard_topk_baseline(A: np.ndarray, k: int) -> np.ndarray:

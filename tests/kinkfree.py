@@ -11,6 +11,7 @@ argmax unstable under perturbation.
 import numpy as np
 
 from mvgcn.autodiff import Tape
+from mvgcn.fusion import edge_support
 from mvgcn.model import forward
 
 import oracles
@@ -18,13 +19,16 @@ import oracles
 
 def smoothness_margin(graphs, features, state, gamma, tau):
     """Smallest distance to any kink or tie at this evaluation point."""
+    support = edge_support(graphs)
     tape = Tape()
     leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-    fwd = forward(tape, leaves, graphs, features, gamma=gamma, tau=tau)
+    fwd = forward(tape, leaves, support, features, gamma=gamma, tau=tau)
     margins = []
+    # the score is computed on the edges only; its diagonal is exactly 0
+    # whatever the perturbation, so it is no kink
     M = state.params["S1"] @ state.params["S2"].T - state.params["S2"] @ state.params["S1"].T
-    off = ~np.eye(M.shape[0], dtype=bool)
-    margins.append(np.min(np.abs(M[off])))
+    off = support.rows != support.cols
+    margins.append(np.min(np.abs(M.take(support.flat[off])), initial=np.inf))
     scores = fwd.selection.scores[0]
     gaps = np.abs(np.subtract.outer(scores, scores))
     margins.append(np.min(gaps[~np.eye(len(scores), dtype=bool)]))
@@ -35,7 +39,7 @@ def smoothness_margin(graphs, features, state, gamma, tau):
     margins.append(np.min(np.abs(fwd.selection.coefficients - theta)))
     # rows the gate switched off entirely are constant zeros, not kinks;
     # only live rows can produce accidental near-zero pre-activations
-    A = fwd.adjacency.value
+    A = support.densify(fwd.adjacency.value)
     live = np.any(A != 0, axis=1)
     pre = (A @ features @ state.params["W1"])[live]
     margins.append(np.min(np.abs(pre)) if pre.size else np.inf)

@@ -20,9 +20,9 @@ from mvgcn.cli import write_json
 from mvgcn.config import RunConfig, config_to_dict
 from mvgcn.data import load_dataset, make_synthetic
 from mvgcn.experiment import prepare_graphs, run_ablation, run_repeats, run_single
-from mvgcn.fusion import complementary_graphs, fuse_views
+from mvgcn.fusion import complementary_graphs, edge_support, fuse_views
 from mvgcn.graph_learning import refine_graph
-from mvgcn.graphs import build_knn_graph, renormalize
+from mvgcn.graphs import EdgeSupport, build_knn_graph, renormalize
 from mvgcn.model import (
     forward,
     gcn_layer,
@@ -114,10 +114,11 @@ def test_gradient_fidelity():
     names = list(state.params)
     Y = one_hot(labels, 2)
     omega = [0, 4]
+    support = edge_support(graphs)
 
     def build(tape, leaves):
         by_name = dict(zip(names, leaves))
-        fwd = forward(tape, by_name, graphs, features, gamma=gamma, tau=tau)
+        fwd = forward(tape, by_name, support, features, gamma=gamma, tau=tau)
         return masked_cross_entropy(fwd.probabilities, Y, omega)
 
     err = ad.finite_difference_check(build, [state.params[n] for n in names], step=1e-6)
@@ -215,7 +216,8 @@ def test_stage_oracle_equivalence():
         points = [rng.normal(size=(6, 3)) for _ in range(2)]
         graphs = [renormalize(build_knn_graph(X, 2)) for X in points]
         raw = rng.normal(size=(2, 2))
-        fusion = fuse_views(graphs, tape.leaf(raw))
+        support = edge_support(graphs)
+        fusion = fuse_views(support, tape.leaf(raw))
         oW, ocomp, oalpha, ofused = oracles.fusion_chain(
             [g.adjacency.tolist() for g in graphs], raw.tolist()
         )
@@ -223,17 +225,26 @@ def test_stage_oracle_equivalence():
         for got, ref in zip(complementary_graphs(graphs, fusion.weights), ocomp):
             track(got, ref)
         track(fusion.importance.value[0], oalpha)
-        track(fusion.fused.value, ofused)
+        track(support.densify(fusion.fused.value), ofused)
 
         base = rng.random((6, 6))
         A_f = (base + base.T) / 2.0
         S1, S2 = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-        refined = refine_graph(tape.leaf(A_f), tape.leaf(S1), tape.leaf(S2), 1.3)
-        track(refined.value, oracles.refine(A_f.tolist(), S1.tolist(), S2.tolist(), 1.3))
+        support = EdgeSupport.of([A_f])
+        refined = refine_graph(
+            tape.leaf(support.gather(A_f)), tape.leaf(S1), tape.leaf(S2), 1.3, support
+        )
+        track(
+            support.densify(refined.value),
+            oracles.refine(A_f.tolist(), S1.tolist(), S2.tolist(), 1.3),
+        )
 
         sparse = A_f * (rng.random((6, 6)) > 0.3)
         A_hat = (sparse + sparse.T) / 2.0
-        sel = differentiable_node_selection(tape.leaf(A_hat), tape.leaf(np.array([[-0.2]])), 0.5)
+        support = EdgeSupport.of([A_hat])
+        sel = differentiable_node_selection(
+            tape.leaf(support.gather(A_hat)), tape.leaf(np.array([[-0.2]])), 0.5, support
+        )
         a_s = oracles.column_mean_nonzero(A_hat.tolist())
         P = oracles.neuralsort_matrix(a_s, 0.5)
         ibar = oracles.minmax_normalize(oracles.dcg_scores(P))
@@ -243,17 +254,15 @@ def test_stage_oracle_equivalence():
         track(sel.permutation, P)
         track(sel.confidence[0], ibar)
         track(sel.coefficients, C)
-        track(sel.selected.value, oracles.select_edges(A_hat.tolist(), C, theta))
+        track(support.densify(sel.selected.value), oracles.select_edges(A_hat.tolist(), C, theta))
 
         A, H, W = rng.normal(size=(6, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 3))
-        track(
-            gcn_layer(tape.leaf(A), tape.leaf(H), tape.leaf(W), "relu").value,
-            oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), "relu"),
-        )
-        track(
-            gcn_layer(tape.leaf(A), tape.leaf(H), tape.leaf(W), "softmax-rows").value,
-            oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), "softmax"),
-        )
+        support = EdgeSupport.of([A])
+        for activation, oracle_activation in (("relu", "relu"), ("softmax-rows", "softmax")):
+            out = gcn_layer(
+                tape.leaf(support.gather(A)), tape.leaf(H), tape.leaf(W), support, activation
+            )
+            track(out.value, oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), oracle_activation))
 
         Z = rng.random((6, 3)) + 0.1
         Z /= Z.sum(axis=1, keepdims=True)
@@ -284,10 +293,10 @@ def test_symmetry_and_normalization_invariants_during_training():
 
     def check(iteration, fwd, loss_value, state):
         for M in (
-            fwd.fusion.fused.value,
-            fwd.refined.value,
+            fwd.support.densify(fwd.fusion.fused.value),
+            fwd.support.densify(fwd.refined.value),
             fwd.selection.coefficients,
-            fwd.adjacency.value,
+            fwd.support.densify(fwd.adjacency.value),
         ):
             devs["sym"] = max(devs["sym"], float(np.max(np.abs(M - M.T))))
         W = fwd.fusion.weights.value

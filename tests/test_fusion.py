@@ -8,6 +8,7 @@ from mvgcn.autodiff import Tape
 from mvgcn.errors import ParameterError, ShapeError
 from mvgcn.fusion import (
     complementary_graphs,
+    edge_support,
     fuse_views,
     init_fusion_weights,
     normalize_weights,
@@ -17,7 +18,17 @@ from mvgcn.graphs import Graph
 
 import oracles
 
-VIEW_STAGES = (complementary_graphs, fuse_views)
+# the entry points that validate the views; each takes the mixing weights too
+VIEW_STAGES = (complementary_graphs, lambda views, W: fuse_views(edge_support(views), W))
+
+
+def fused_matrix(views, raw):
+    """fuse_views on the views' edge support: the result and the fused
+    graph as an m x m array."""
+    support = edge_support(views)
+    tape = Tape()
+    res = fuse_views(support, tape.leaf(raw))
+    return res, support.densify(res.fused.value)
 
 
 def random_views(rng, num_views, m):
@@ -88,6 +99,14 @@ class TestComplementaryGraphs:
 
     # Each rejection test runs on both entry points that validate the views;
     # fuse_views receives the same leaf as its raw mixing weights.
+    def test_weights_that_do_not_match_the_views_rejected(self):
+        rng = np.random.default_rng(4)
+        views = random_views(rng, 2, 4)
+        for stage in VIEW_STAGES:
+            tape = Tape()
+            with pytest.raises(ShapeError):
+                stage(views, tape.leaf(np.zeros((3, 3))))
+
     def test_mismatched_node_counts_rejected(self):
         rng = np.random.default_rng(4)
         views = random_views(rng, 1, 4) + random_views(rng, 1, 5)
@@ -137,18 +156,16 @@ class TestFuse:
     def test_zero_raw_weights_average_two_views(self):
         rng = np.random.default_rng(6)
         views = random_views(rng, 2, 5)
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(init_fusion_weights(2)))
+        _, fused = fused_matrix(views, init_fusion_weights(2))
         want = 0.5 * (views[0].adjacency + views[1].adjacency)
-        assert res.fused.value == pytest.approx(want, abs=1e-12)
+        assert fused == pytest.approx(want, abs=1e-12)
 
     def test_identical_views_fuse_to_themselves(self):
         rng = np.random.default_rng(7)
         base = random_views(rng, 1, 4)[0]
         views = [base, base, base]
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(rng.normal(size=(3, 3))))
-        assert res.fused.value == pytest.approx(base.adjacency, abs=1e-12)
+        _, fused = fused_matrix(views, rng.normal(size=(3, 3)))
+        assert fused == pytest.approx(base.adjacency, abs=1e-12)
 
     def test_random_case_matches_composed_oracle(self):
         rng = np.random.default_rng(8)
@@ -157,31 +174,31 @@ class TestFuse:
         _, _, _, fused_want = oracles.fusion_chain(
             [g.adjacency.tolist() for g in views], raw.tolist()
         )
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(raw))
-        assert res.fused.value == pytest.approx(np.array(fused_want), abs=1e-12)
+        _, fused = fused_matrix(views, raw)
+        assert fused == pytest.approx(np.array(fused_want), abs=1e-12)
 
     def test_fused_is_importance_weighted_complementary_graphs(self):
         rng = np.random.default_rng(9)
         views = random_views(rng, 3, 6)
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(rng.normal(size=(3, 3))))
+        res, fused = fused_matrix(views, rng.normal(size=(3, 3)))
         comp = complementary_graphs(views, res.weights)
         want = sum(a * c for a, c in zip(res.importance.value[0], comp))
-        assert np.max(np.abs(res.fused.value - want)) <= 1e-12
+        assert np.max(np.abs(fused - want)) <= 1e-12
 
     @pytest.mark.parametrize("num_views", [1, 2, 4])
-    def test_tape_holds_one_mxm_node(self, num_views):
+    def test_tape_holds_no_mxm_node(self, num_views):
         rng = np.random.default_rng(16)
         m = 5
         views = random_views(rng, num_views, m)
+        support = edge_support(views)
         tape = Tape()
         raw = tape.leaf(rng.normal(size=(num_views, num_views)))
         before = len(tape.nodes)
-        fuse_views(views, raw)
+        res = fuse_views(support, raw)
         added = tape.nodes[before:]
         assert len(added) == 6
-        assert sum(n.value.shape == (m, m) for n in added) == 1
+        assert not any(n.value.shape == (m, m) for n in added)
+        assert res.fused.value.shape == (1, support.nnz)
 
 
 class TestFusionProperties:
@@ -193,14 +210,10 @@ class TestFusionProperties:
         raw = rng.normal(size=(V, V))
         perm = rng.permutation(V)
 
-        tape = Tape()
-        base = fuse_views(views, tape.leaf(raw))
-        tape2 = Tape()
-        permuted = fuse_views(
-            [views[p] for p in perm], tape2.leaf(raw[np.ix_(perm, perm)])
-        )
+        base, base_fused = fused_matrix(views, raw)
+        permuted, permuted_fused = fused_matrix([views[p] for p in perm], raw[np.ix_(perm, perm)])
 
-        assert permuted.fused.value == pytest.approx(base.fused.value, abs=1e-12)
+        assert permuted_fused == pytest.approx(base_fused, abs=1e-12)
         assert permuted.importance.value[0] == pytest.approx(
             base.importance.value[0, perm], abs=1e-12
         )
@@ -210,33 +223,31 @@ class TestFusionProperties:
         rng = np.random.default_rng(10 + seed)
         views = random_views(rng, 3, 5)
         stack = np.stack([g.adjacency for g in views])
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(rng.normal(size=(3, 3))))
-        assert np.all(res.fused.value >= stack.min(axis=0) - 1e-12)
-        assert np.all(res.fused.value <= stack.max(axis=0) + 1e-12)
+        _, fused = fused_matrix(views, rng.normal(size=(3, 3)))
+        assert np.all(fused >= stack.min(axis=0) - 1e-12)
+        assert np.all(fused <= stack.max(axis=0) + 1e-12)
 
     def test_invariant_row_sums_and_positivity(self):
         rng = np.random.default_rng(14)
         views = random_views(rng, 3, 4)
-        tape = Tape()
-        res = fuse_views(views, tape.leaf(rng.normal(size=(3, 3))))
+        res, fused = fused_matrix(views, rng.normal(size=(3, 3)))
         W, alpha = res.weights.value, res.importance.value
         assert np.sum(W, axis=1) == pytest.approx(np.ones(3), abs=1e-9)
         assert np.all(W > 0)
         assert np.sum(alpha) == pytest.approx(1.0, abs=1e-9)
         assert np.all(alpha > 0)
-        fused = res.fused.value
         assert fused == pytest.approx(fused.T, abs=1e-12)
         assert np.all(fused >= 0)
 
     def test_gradient_wrt_raw_weights_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         views = random_views(rng, 3, 5)
-        probe = rng.normal(size=(5, 5))
+        support = edge_support(views)
+        probe = support.gather(rng.normal(size=(5, 5)))
         raw0 = rng.normal(size=(3, 3))
 
         def build(tape, leaves):
-            res = fuse_views(views, leaves[0])
-            return ad.sum_all(ad.mul_const(res.fused, probe))
+            res = fuse_views(support, leaves[0])
+            return ad.masked_sum(res.fused, probe)
 
         assert ad.finite_difference_check(build, [raw0]) <= 1e-5

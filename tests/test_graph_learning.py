@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from mvgcn import autodiff as ad
-from mvgcn import graph_learning as gl
+from mvgcn import graphs
 from mvgcn.autodiff import Tape
 from mvgcn.errors import ParameterError, ShapeError, TrainingError
-from mvgcn.graph_learning import SUPPORT_DENSITY_MAX, init_glm_params, refine_graph
+from mvgcn.graph_learning import init_glm_params, refine_graph
 from mvgcn.model import ModelState, adam_step
 
+import dense_reference
 import oracles
+from dense_reference import on_support
 
 
 def symmetric_nonneg(rng, m):
@@ -16,65 +18,80 @@ def symmetric_nonneg(rng, m):
     return np.triu(W, 1) + np.triu(W, 1).T + np.diag(rng.uniform(size=m))
 
 
+def refined_matrix(A, S1, S2, gamma):
+    """refine_graph on the support of A, as an m x m array."""
+    support, F = on_support(A)
+    tape = Tape()
+    out = refine_graph(tape.leaf(F), tape.leaf(S1), tape.leaf(S2), gamma, support)
+    return support.densify(out.value)
+
+
 class TestRefineGraph:
     def test_equal_factors_halve_the_graph(self):
         rng = np.random.default_rng(0)
         A = symmetric_nonneg(rng, 4)
         S = rng.normal(size=(4, 4))
-        tape = Tape()
-        out = refine_graph(tape.leaf(A), tape.leaf(S), tape.leaf(S), gamma=2.0)
-        assert out.value == pytest.approx(0.5 * A, abs=1e-12)
+        out = refined_matrix(A, S, S, gamma=2.0)
+        assert out == pytest.approx(0.5 * A, abs=1e-12)
 
     def test_zero_graph_stays_zero(self):
         rng = np.random.default_rng(1)
-        tape = Tape()
-        out = refine_graph(
-            tape.leaf(np.zeros((3, 3))),
-            tape.leaf(rng.normal(size=(3, 3))),
-            tape.leaf(rng.normal(size=(3, 3))),
-            gamma=1.0,
+        out = refined_matrix(
+            np.zeros((3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), gamma=1.0
         )
-        assert np.array_equal(out.value, np.zeros((3, 3)))
+        assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_random_case_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         A = symmetric_nonneg(rng, 5)
         S1 = rng.normal(size=(5, 5))
         S2 = rng.normal(size=(5, 5))
-        tape = Tape()
-        out = refine_graph(tape.leaf(A), tape.leaf(S1), tape.leaf(S2), gamma=1.0)
+        out = refined_matrix(A, S1, S2, gamma=1.0)
         want = np.array(oracles.refine(A.tolist(), S1.tolist(), S2.tolist(), 1.0))
-        assert out.value == pytest.approx(want, abs=1e-12)
-        assert out.value == pytest.approx(out.value.T, abs=1e-12)
+        assert out == pytest.approx(want, abs=1e-12)
+        assert out == pytest.approx(out.T, abs=1e-12)
 
     def test_one_product_gives_an_exactly_symmetric_output(self):
         rng = np.random.default_rng(3)
         m = 37
         A = symmetric_nonneg(rng, m)
         S1, S2 = rng.normal(size=(m, m)), rng.normal(size=(m, m))
+        support, F = on_support(A)
         tape = Tape()
-        leaves = [tape.leaf(x) for x in (A, S1, S2)]
+        leaves = [tape.leaf(x) for x in (F, S1, S2)]
         start = len(tape.nodes)
-        out = refine_graph(*leaves, gamma=1.0)
+        out = refine_graph(*leaves, gamma=1.0, support=support)
         assert tape.nodes[start:] == [out]
         assert out.op == "refine" and out.parents == tuple(leaves)
-        assert np.array_equal(out.value, out.value.T)
+        assert out.value.shape == (1, support.nnz)
+        assert np.array_equal(out.value[0], out.value[0, support.twin])
 
     def test_shape_mismatch_rejected(self):
+        support, F = on_support(np.ones((3, 3)))
         tape = Tape()
         with pytest.raises(ShapeError):
             refine_graph(
-                tape.leaf(np.zeros((3, 3))),
+                tape.leaf(F),
                 tape.leaf(np.zeros((4, 4))),
                 tape.leaf(np.zeros((3, 3))),
                 gamma=1.0,
+                support=support,
+            )
+        with pytest.raises(ShapeError):
+            refine_graph(
+                tape.leaf(np.ones((3, 3))),
+                tape.leaf(np.zeros((3, 3))),
+                tape.leaf(np.zeros((3, 3))),
+                gamma=1.0,
+                support=support,
             )
 
     def test_nonpositive_gamma_rejected(self):
+        support, F = on_support(np.ones((2, 2)))
         tape = Tape()
         z = tape.leaf(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
-            refine_graph(z, z, z, gamma=0.0)
+            refine_graph(tape.leaf(F), z, z, gamma=0.0, support=support)
 
 
 class TestRefineProperties:
@@ -89,26 +106,19 @@ class TestRefineProperties:
         assert np.diag(M) == pytest.approx(np.zeros(m), abs=1e-12)
 
         A = symmetric_nonneg(rng, m)
-        tape = Tape()
-        out = refine_graph(tape.leaf(A), tape.leaf(S1), tape.leaf(S2), gamma=1.0)
-        mask = np.divide(out.value, A, out=np.zeros_like(A), where=A != 0)
+        out = refined_matrix(A, S1, S2, gamma=1.0)
+        mask = np.divide(out, A, out=np.zeros_like(A), where=A != 0)
         nz = A != 0
         assert np.all(mask[nz] > 0.0) and np.all(mask[nz] < 1.0)
         # same sparsity pattern: shrinkage never zeroes an edge
-        assert np.array_equal(out.value != 0, nz)
+        assert np.array_equal(out != 0, nz)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_diagonal_shrinks_by_exactly_half(self, seed):
         rng = np.random.default_rng(10 + seed)
         A = symmetric_nonneg(rng, 5)
-        tape = Tape()
-        out = refine_graph(
-            tape.leaf(A),
-            tape.leaf(rng.normal(size=(5, 5))),
-            tape.leaf(rng.normal(size=(5, 5))),
-            gamma=0.7,
-        )
-        assert np.diag(out.value) == pytest.approx(0.5 * np.diag(A), abs=1e-12)
+        out = refined_matrix(A, rng.normal(size=(5, 5)), rng.normal(size=(5, 5)), gamma=0.7)
+        assert np.diag(out) == pytest.approx(0.5 * np.diag(A), abs=1e-12)
 
     def test_gradients_match_finite_differences_away_from_kink(self):
         rng = np.random.default_rng(20)
@@ -124,9 +134,11 @@ class TestRefineProperties:
             if np.min(np.abs(off)) >= 1e-3:
                 break
 
+        support, F = on_support(A)
+
         def build(tape, leaves):
-            out = refine_graph(tape.leaf(A), leaves[0], leaves[1], gamma=1.0)
-            return ad.sum_all(ad.mul_const(out, probe))
+            out = refine_graph(tape.leaf(F), leaves[0], leaves[1], gamma=1.0, support=support)
+            return ad.masked_sum(out, support.gather(probe))
 
         assert ad.finite_difference_check(build, [S1, S2]) <= 1e-4
 
@@ -161,15 +173,21 @@ class TestRefineOp:
         gamma = float(rng.choice([0.5, 1.0, 2.5]))
         A, S1, S2 = smooth_instance(rng, m)
         R = rng.normal(size=(m, m))
-        results = []
-        for refine in (refine_graph, primitive_chain):
-            tape = Tape()
-            leaves = [tape.leaf(x) for x in (A, S1, S2)]
-            out = refine(*leaves, gamma)
-            tape.backward(ad.sum_all(ad.mul_const(out, R)))
-            results.append([out.value] + [leaf.grad for leaf in leaves])
-        for got, want in zip(*results):
-            assert np.max(np.abs(got - want)) <= 1e-12
+        support, F = on_support(A)
+        assert support.nnz == m * m
+        tape = Tape()
+        leaves = [tape.leaf(x) for x in (F, S1, S2)]
+        out = refine_graph(*leaves, gamma, support)
+        tape.backward(ad.masked_sum(out, support.gather(R)))
+        got = [support.densify(out.value)] + [support.densify(leaves[0].grad)]
+        got += [leaf.grad for leaf in leaves[1:]]
+        tape = Tape()
+        leaves = [tape.leaf(x) for x in (A, S1, S2)]
+        chain = primitive_chain(*leaves, gamma)
+        tape.backward(ad.sum_all(ad.mul_const(chain, R)))
+        want = [chain.value] + [leaf.grad for leaf in leaves]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_of_all_parents_match_finite_differences(self, seed):
@@ -177,20 +195,22 @@ class TestRefineOp:
         m = int(rng.integers(3, 6))
         gamma = float(rng.choice([0.5, 1.0, 2.5]))
         A, S1, S2 = smooth_instance(rng, m)
-        R = rng.normal(size=(m, m))
+        support, F = on_support(A)
+        R = support.gather(rng.normal(size=(m, m)))
 
         def build(tape, leaves):
-            return ad.sum_all(ad.mul_const(refine_graph(*leaves, gamma), R))
+            return ad.masked_sum(refine_graph(*leaves, gamma, support), R)
 
-        assert ad.finite_difference_check(build, [A, S1, S2], step=1e-6) <= 1e-6
+        assert ad.finite_difference_check(build, [F, S1, S2], step=1e-6) <= 1e-6
 
     def test_backward_keeps_its_saved_arrays_intact(self):
         # a second sweep over the same tape reuses the saved mask and score
         rng = np.random.default_rng(60)
         A, S1, S2 = smooth_instance(rng, 5)
+        support, F = on_support(A)
         tape = Tape()
-        leaves = [tape.leaf(x) for x in (A, S1, S2)]
-        loss = ad.sum_all(refine_graph(*leaves, 1.0))
+        leaves = [tape.leaf(x) for x in (F, S1, S2)]
+        loss = ad.sum_all(refine_graph(*leaves, 1.0, support))
         first = [g.copy() for g in tape.backward(loss).values()]
         second = list(tape.backward(loss).values())
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -216,21 +236,34 @@ def support_of(F):
     return nz | nz.T
 
 
-# (seed, m, pair density, asymmetric values): two below the cut, one above
+# (seed, m, pair density, asymmetric values): support densities from 5% to 30%
 SPARSE_CASES = [(70, 40, 0.04, False), (71, 40, 0.05, True), (72, 30, 0.2, True)]
 
 
 def run_refine(F, S1, S2, gamma, G):
+    """Edge values and gradients of refinement on the support of F, as
+    m x m arrays (0 off the support)."""
+    support, edges = on_support(F)
+    tape = Tape()
+    leaves = [tape.leaf(x) for x in (edges, S1, S2)]
+    out = refine_graph(*leaves, gamma, support)
+    tape.backward(ad.masked_sum(out, support.gather(G)))
+    return [support.densify(out.value), support.densify(leaves[0].grad)] + [
+        leaf.grad for leaf in leaves[1:]
+    ]
+
+
+def run_dense_reference(F, S1, S2, gamma, G):
     tape = Tape()
     leaves = [tape.leaf(x) for x in (F, S1, S2)]
-    out = refine_graph(*leaves, gamma)
+    out = dense_reference.refine(*leaves, gamma)
     tape.backward(ad.masked_sum(out, G))
     return [out.value] + [leaf.grad for leaf in leaves]
 
 
 class TestSupportLayout:
-    """Below the density cut, refinement works on the support of ``fused``;
-    it must give what the dense layout gives."""
+    """Refinement works on the edge support of ``fused``; on the support it
+    must give what the m x m formulas of ``dense_reference`` give."""
 
     @staticmethod
     def case(seed, m, pair_density, asymmetric):
@@ -238,25 +271,23 @@ class TestSupportLayout:
         F, S1, S2 = sparse_instance(rng, m, pair_density, asymmetric)
         return F, S1, S2, float(rng.choice([0.5, 1.0, 2.5])), rng.normal(size=(m, m))
 
-    def test_cases_lie_on_both_sides_of_the_cut(self):
+    def test_cases_cover_asymmetric_values_and_one_sided_pairs(self):
         densities = [np.mean(support_of(self.case(*c)[0])) for c in SPARSE_CASES]
-        assert densities[0] <= SUPPORT_DENSITY_MAX and densities[1] <= SUPPORT_DENSITY_MAX
-        assert densities[2] > SUPPORT_DENSITY_MAX
+        assert densities[0] < 0.1 and densities[2] > 0.1
         F = self.case(*SPARSE_CASES[1])[0]
         assert not np.array_equal(F, F.T) and not np.array_equal(F != 0, F.T != 0)
 
     @pytest.mark.parametrize("case", SPARSE_CASES)
-    def test_layouts_agree(self, case, monkeypatch):
+    def test_edges_match_the_dense_reference(self, case):
         F, S1, S2, gamma, G = self.case(*case)
-        results = []
-        for cut in (1.0, -1.0):  # support layout, then dense
-            monkeypatch.setattr(gl, "SUPPORT_DENSITY_MAX", cut)
-            results.append(run_refine(F, S1, S2, gamma, G))
-        (value, gF, g1, g2), (want, wantF, want1, want2) = results
+        (value, gF, g1, g2) = run_refine(F, S1, S2, gamma, G)
+        (want, wantF, want1, want2) = run_dense_reference(F, S1, S2, gamma, G)
         support = support_of(F)
         assert value.tobytes() == want.tobytes()
+        # the dense layout's gradient to fused off the support is g * mask,
+        # which the edge layout does not form: the pattern is a constant
         assert gF[support].tobytes() == wantF[support].tobytes()
-        assert np.all(gF[~support] == 0.0)
+        assert np.all(wantF[~support] != 0.0)
         for got, ref in ((g1, want1), (g2, want2)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -265,14 +296,13 @@ class TestSupportLayout:
         self, case, monkeypatch
     ):
         F, S1, S2, gamma, G = self.case(*case)
-        seen, csr_array = [], gl.csr_array
+        seen, csr_array = [], graphs.csr_array
 
         def spy(arg, shape):
             seen.append(arg)
             return csr_array(arg, shape=shape)
 
-        monkeypatch.setattr(gl, "SUPPORT_DENSITY_MAX", 1.0)
-        monkeypatch.setattr(gl, "csr_array", spy)
+        monkeypatch.setattr(graphs, "csr_array", spy)
         run_refine(F, S1, S2, gamma, G)
         ((dP, cols, indptr),) = seen
         rows = np.repeat(np.arange(F.shape[0]), np.diff(indptr))
@@ -286,51 +316,30 @@ class TestSupportLayout:
 
     @pytest.mark.parametrize("case", SPARSE_CASES[:2])
     def test_gradients_match_finite_differences(self, case):
+        # fused's gradient is taken on its support, which a perturbation of
+        # an edge value leaves as it is
         F, S1, S2, gamma, G = self.case(*case)
+        support, edges = on_support(F)
+        G = support.gather(G)
 
         def build(tape, leaves):
-            return ad.masked_sum(refine_graph(tape.leaf(F), *leaves, gamma), G)
+            return ad.masked_sum(refine_graph(*leaves, gamma, support), G)
 
-        assert ad.finite_difference_check(build, [S1, S2], step=1e-6) <= 1e-6
-
-        # fused's gradient is taken on its support, which a perturbation of
-        # a support entry leaves as it is
-        def loss(Fx):
-            tape = Tape()
-            out = refine_graph(*(tape.leaf(x) for x in (Fx, S1, S2)), gamma)
-            return float(ad.masked_sum(out, G).value[0, 0])
-
-        gF = run_refine(F, S1, S2, gamma, G)[1]
-        step, worst = 1e-6, 0.0
-        for r, c in zip(*np.nonzero(support_of(F))):
-            plus, minus = F.copy(), F.copy()
-            plus[r, c] += step
-            minus[r, c] -= step
-            numeric = (loss(plus) - loss(minus)) / (2 * step)
-            worst = max(worst, abs(gF[r, c] - numeric) / max(1.0, abs(numeric)))
-        assert worst <= 1e-6
-
-    @pytest.mark.parametrize("case", SPARSE_CASES)
-    def test_fused_gradient_off_the_support_follows_the_layout(self, case):
-        F, S1, S2, gamma, G = self.case(*case)
-        gF = run_refine(F, S1, S2, gamma, G)[1]
-        off = ~support_of(F)
-        if np.mean(~off) <= SUPPORT_DENSITY_MAX:
-            assert np.all(gF[off] == 0.0)
-        else:
-            assert np.all(gF[off] != 0.0)
+        assert ad.finite_difference_check(build, [edges, S1, S2], step=1e-6) <= 1e-6
 
     @pytest.mark.parametrize("case", SPARSE_CASES[:2])
     def test_nan_upstream_gradient_on_the_support_stops_training(self, case):
         F, S1, S2, gamma, G = self.case(*case)
-        rows, cols = np.nonzero(support_of(F) & ~np.eye(F.shape[0], dtype=bool))
-        G[rows[0], cols[0]] = np.nan
+        support, edges = on_support(F)
+        G = support.gather(G)
+        e = int(np.flatnonzero(support.rows != support.cols)[0])
+        G[0, e] = np.nan
         tape = Tape()
         names = ("fused", "S1", "S2")
-        leaves = [tape.leaf(x) for x in (F, S1, S2)]
-        grads = tape.backward(ad.masked_sum(refine_graph(*leaves, gamma), G))
-        assert not np.isfinite(grads[leaves[1]][rows[0]]).any()
-        params = dict(zip(names, (F.copy(), S1.copy(), S2.copy())))
+        leaves = [tape.leaf(x) for x in (edges, S1, S2)]
+        grads = tape.backward(ad.masked_sum(refine_graph(*leaves, gamma, support), G))
+        assert not np.isfinite(grads[leaves[1]][support.rows[e]]).any()
+        params = dict(zip(names, (edges.copy(), S1.copy(), S2.copy())))
         zeros = {name: np.zeros_like(p) for name, p in params.items()}
         state = ModelState(params, zeros, {n: z.copy() for n, z in zeros.items()})
         with pytest.raises(TrainingError, match="non-finite gradient"):

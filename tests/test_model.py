@@ -9,9 +9,9 @@ from mvgcn import autodiff as ad
 from mvgcn import model as model_module
 from mvgcn.autodiff import Tape
 from mvgcn.data import SplitSpec, make_split, make_synthetic
-from mvgcn.errors import DataLoadError, ParameterError, TrainingError
+from mvgcn.errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from mvgcn.experiment import feature_matrix, prepare_graphs
-from mvgcn.graph_learning import SUPPORT_DENSITY_MAX
+from mvgcn.fusion import edge_support
 from mvgcn.graphs import Graph, build_knn_graph, renormalize
 from mvgcn.model import (
     ModelState,
@@ -29,7 +29,9 @@ from mvgcn.model import (
     train,
 )
 
+import dense_reference
 import oracles
+from dense_reference import on_support
 from kinkfree import smoothness_margin
 
 
@@ -47,38 +49,37 @@ def toy_instance(seed, m=30, classes=2, num_views=2, noise=0.15, n_per_view=4, k
 
 
 def sparse_toy_instance(seed, m=44):
-    """A toy instance whose fused support lies below the cut, so refinement
-    takes its support layout."""
+    """A toy instance whose fused support holds under a tenth of the m x m
+    entries."""
     graphs, features, labels = toy_instance(seed, m=m, k=1, n_per_view=2)
-    nz = sum(g.adjacency for g in graphs) != 0
-    assert np.mean(nz | nz.T) <= SUPPORT_DENSITY_MAX
+    assert edge_support(graphs).nnz <= 0.1 * m * m
     return graphs, features, labels
+
+
+def gcn(A, H, W, activation="none"):
+    """gcn_layer with the edge values of A on A's support; returns the tape
+    and the output node."""
+    support, F = on_support(A)
+    tape = Tape()
+    return tape, gcn_layer(tape.leaf(F), tape.leaf(H), tape.leaf(W), support, activation)
 
 
 class TestGcnLayer:
     def test_identity_propagation(self):
         rng = np.random.default_rng(0)
         H = rng.normal(size=(4, 3))
-        tape = Tape()
-        out = gcn_layer(tape.leaf(np.eye(4)), tape.leaf(H), tape.leaf(np.eye(3)))
+        _, out = gcn(np.eye(4), H, np.eye(3))
         assert out.value == pytest.approx(H, abs=1e-15)
 
     def test_zero_features_relu(self):
-        tape = Tape()
-        out = gcn_layer(
-            tape.leaf(np.ones((3, 3))),
-            tape.leaf(np.zeros((3, 2))),
-            tape.leaf(np.ones((2, 2))),
-            "relu",
-        )
+        _, out = gcn(np.ones((3, 3)), np.zeros((3, 2)), np.ones((2, 2)), "relu")
         assert np.array_equal(out.value, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("activation", ["none", "relu", "softmax-rows"])
     def test_random_matches_triple_loop(self, activation):
         rng = np.random.default_rng(1)
         A, H, W = (rng.normal(size=(5, 5)) for _ in range(3))
-        tape = Tape()
-        out = gcn_layer(tape.leaf(A), tape.leaf(H), tape.leaf(W), activation)
+        _, out = gcn(A, H, W, activation)
         oracle_name = {"none": "none", "relu": "relu", "softmax-rows": "softmax"}[activation]
         want = np.array(oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), oracle_name))
         assert out.value == pytest.approx(want, abs=1e-12)
@@ -89,18 +90,57 @@ class TestGcnLayer:
         # the first product recorded shows which order ran
         rng = np.random.default_rng(2)
         A, H, W = rng.normal(size=(5, 5)), rng.normal(size=(5, d_in)), rng.normal(size=(d_in, d_out))
-        tape = Tape()
-        out = gcn_layer(tape.leaf(A), tape.leaf(H), tape.leaf(W))
-        products = [n for n in tape.nodes if n.op == "matmul"]
+        tape, out = gcn(A, H, W)
+        products = [n for n in tape.nodes if n.op in ("matmul", "spmm")]
         assert products[0].value.shape == inner
+        assert [n.op for n in products] == (["matmul", "spmm"] if d_out < d_in else ["spmm", "matmul"])
         want = np.array(oracles.gcn_layer(A.tolist(), H.tolist(), W.tolist(), "none"))
         assert out.value == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("d_in,d_out", [(6, 2), (2, 6)])
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_gradients_match_the_dense_products(self, d_in, d_out, density):
+        # an asymmetric A, so the product's backward needs the twin values
+        rng = np.random.default_rng(3)
+        m = 9
+        A = rng.normal(size=(m, m)) * (rng.uniform(size=(m, m)) < density)
+        H, W = rng.normal(size=(m, d_in)), rng.normal(size=(d_in, d_out))
+        R = rng.normal(size=(m, d_out))
+        support, F = on_support(A)
+        tape = Tape()
+        leaves = [tape.leaf(x) for x in (F, H, W)]
+        tape.backward(ad.masked_sum(gcn_layer(*leaves, support), R))
+        tape = Tape()
+        dense = [tape.leaf(x) for x in (A, H, W)]
+        tape.backward(ad.masked_sum(dense_reference.gcn_layer(*dense), R))
+        assert np.max(np.abs(leaves[0].grad - support.gather(dense[0].grad))) <= 1e-12
+        for got, want in zip(leaves[1:], dense[1:]):
+            assert np.max(np.abs(got.grad - want.grad)) <= 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5)
+        support, F = on_support(A)
+        H, W, R = rng.normal(size=(6, 3)), rng.normal(size=(3, 2)), rng.normal(size=(6, 2))
+
+        def build(tape, leaves):
+            return ad.masked_sum(gcn_layer(*leaves, support, "softmax-rows"), R)
+
+        assert ad.finite_difference_check(build, [F, H, W], step=1e-6) <= 1e-6
+
     def test_unknown_activation_rejected(self):
+        support, F = on_support(np.eye(2))
         tape = Tape()
         a = tape.leaf(np.eye(2))
         with pytest.raises(ParameterError):
-            gcn_layer(a, a, a, "tanh")
+            gcn_layer(tape.leaf(F), a, a, support, "tanh")
+
+    def test_mismatched_edge_values_rejected(self):
+        support, _ = on_support(np.eye(2))
+        tape = Tape()
+        a = tape.leaf(np.eye(2))
+        with pytest.raises(ShapeError):
+            gcn_layer(a, a, a, support)
 
 
 class TestForward:
@@ -155,12 +195,13 @@ class TestForward:
         state = init_model(2, 12, features.shape[1], 5, 2, np.random.default_rng(1))
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-        fwd = forward(tape, leaves, graphs, features)
+        fwd = forward(tape, leaves, edge_support(graphs), features)
         masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6])
         ops = [n.op for n in tape.nodes]
         assert ops.count("select") == 1 and ops.count("refine") == 1
         assert len(tape.nodes) == 24
-        assert sum(1 for n in tape.nodes if n.value.shape == (12, 12)) <= 5
+        # the graphs are edge rows; only the shrinkage factors are m x m
+        assert [n for n in tape.nodes if n.value.shape == (12, 12)] == [leaves["S1"], leaves["S2"]]
 
     @pytest.mark.parametrize(
         "dns_mode,raw_theta", [("soft", None), ("soft", 50.0), ("hard-topk", None), ("off", None)]
@@ -188,7 +229,7 @@ class TestForward:
             state.params["raw_theta"][:] = raw_theta
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-        fwd = forward(tape, leaves, graphs, features, dns_mode=dns_mode, k=3)
+        fwd = forward(tape, leaves, edge_support(graphs), features, dns_mode=dns_mode, k=3)
         tape.backward(masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, m // 2]))
         nodes = tape.nodes
         for i, node in enumerate(nodes):
@@ -231,7 +272,7 @@ class TestForward:
         state = init_model(2, 10, features.shape[1], 4, 2, rng)
         tape = Tape()
         leaves = {name: tape.leaf(p) for name, p in state.params.items()}
-        fwd = forward(tape, leaves, graphs, features, dns_mode="off")
+        fwd = forward(tape, leaves, edge_support(graphs), features, dns_mode="off")
         assert fwd.selection is None
         assert fwd.adjacency is fwd.refined
 
@@ -502,10 +543,11 @@ class TestFullModelGradients:
         names = list(state.params)
         Y = one_hot(labels, 2)
         omega = [0, m - 2]
+        support = edge_support(graphs)
 
         def build(tape, leaves):
             by_name = dict(zip(names, leaves))
-            fwd = forward(tape, by_name, graphs, features, gamma=gamma, tau=tau)
+            fwd = forward(tape, by_name, support, features, gamma=gamma, tau=tau)
             return masked_cross_entropy(fwd.probabilities, Y, omega)
 
         err = ad.finite_difference_check(build, [state.params[n] for n in names])

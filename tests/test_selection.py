@@ -21,7 +21,9 @@ from mvgcn.selection import (
     select_nodes,
 )
 
+import dense_reference
 import oracles
+from dense_reference import on_support
 
 finite_scores = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -34,22 +36,48 @@ def arr(value):
     return np.asarray(value, dtype=float)
 
 
+def edge_means(A):
+    support, F = on_support(arr(A))
+    return column_mean_nonzero(F, support)
+
+
+def gated_matrix(A, ibar, raw_theta):
+    """select_nodes on the support of A, as an m x m array."""
+    support, F = on_support(arr(A))
+    return support.densify(select_nodes(F, arr(ibar), arr(raw_theta), support))
+
+
+def select_on_support(A, raw_theta, tau):
+    """The selection op on the support of A: (support, leaves, result)."""
+    support, F = on_support(A)
+    tape = Tape()
+    adj, theta = tape.leaf(F), tape.leaf(raw_theta)
+    return support, (adj, theta), differentiable_node_selection(adj, theta, tau, support)
+
+
 class TestColumnMeanNonzero:
     def test_single_column_mean(self):
         A = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        out = column_mean_nonzero(arr(A))
+        out = edge_means(A)
         assert out == pytest.approx(np.array([[3.0, 0.0, 0.0]]), abs=1e-15)
 
     def test_identity_scores_one_per_column(self):
-        out = column_mean_nonzero(arr(np.eye(3)))
+        out = edge_means(np.eye(3))
         assert np.array_equal(out, np.ones((1, 3)))
 
     def test_random_sparse_matches_counting_oracle(self):
         rng = np.random.default_rng(0)
         A = rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) > 0.5)
-        out = column_mean_nonzero(arr(A))
+        out = edge_means(A)
         want = oracles.column_mean_nonzero(A.tolist())
         assert out[0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_dense_column_sums_bit_for_bit(self, seed):
+        # asymmetric values on a symmetrized support, so some edges are zero
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.1, 3.0, size=(40, 40)) * (rng.uniform(size=(40, 40)) < 0.2)
+        assert edge_means(A).tobytes() == dense_reference.column_means(A)[0].tobytes()
 
 
 class TestPairwiseDifference:
@@ -205,16 +233,13 @@ class TestSelectNodes:
         rng = np.random.default_rng(8)
         W = rng.uniform(size=(5, 5))
         A = np.triu(W, 1) + np.triu(W, 1).T + np.eye(5)
-        adj = arr(A)
-        C = confidence_coefficients(arr(np.full((1, 5), 0.5)))
-        out = select_nodes(adj, C, arr(np.full((1, 1), -1.0)))
+        out = gated_matrix(A, np.full((1, 5), 0.5), np.full((1, 1), -1.0))
         assert np.array_equal(out, A)
 
     def test_coefficient_at_threshold_gates_to_zero(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        ibar = arr(np.array([[1.0, 0.0]]))
-        C = confidence_coefficients(ibar)  # C[0,1] = 0.5 = sigmoid(0)
-        out = select_nodes(arr(A), C, arr(np.zeros((1, 1))))
+        # C[0,1] = 0.5 = sigmoid(0)
+        out = gated_matrix(A, np.array([[1.0, 0.0]]), np.zeros((1, 1)))
         assert out[0, 1] == 0.0
         assert out[1, 0] == 0.0
         assert out[0, 0] > 0.0
@@ -232,8 +257,7 @@ class TestSelectNodes:
             ]
         )
         ibar = np.array([[1.0, 0.8, 0.0, 0.0, 0.6, 0.9]])
-        C = confidence_coefficients(arr(ibar))
-        out = select_nodes(arr(A), C, arr(np.zeros((1, 1))))
+        out = gated_matrix(A, ibar, np.zeros((1, 1)))
         assert out[2, 3] == 0.0 and out[3, 2] == 0.0
         assert out[0, 1] > 0.0 and out[0, 4] > 0.0
         # peak gated coefficient is (1+1)/2 - 0.5 at the (0,0) self-loop
@@ -247,17 +271,15 @@ class TestSelectNodes:
         rng = np.random.default_rng(9)
         A = rng.uniform(size=(4, 4))
         A = (A + A.T) / 2
-        C = confidence_coefficients(arr(rng.uniform(0.0, 0.3, size=(1, 4))))
-        out = select_nodes(arr(A), C, arr(np.full((1, 1), 50.0)))
+        out = gated_matrix(A, rng.uniform(0.0, 0.3, size=(1, 4)), np.full((1, 1), 50.0))
         assert np.array_equal(out, A)
 
     def test_shape_mismatch_rejected(self):
+        support, F = on_support(np.ones((3, 3)))
         with pytest.raises(ShapeError):
-            select_nodes(
-                arr(np.zeros((3, 3))),
-                arr(np.zeros((2, 2))),
-                arr(np.zeros((1, 1))),
-            )
+            select_nodes(F, arr(np.zeros((1, 2))), arr(np.zeros((1, 1))), support)
+        with pytest.raises(ShapeError):
+            select_nodes(F, arr(np.zeros((1, 3))), arr(np.zeros((1, 2))), support)
 
 
 class TestPipeline:
@@ -269,9 +291,8 @@ class TestPipeline:
     def test_selected_graph_invariants(self, seed):
         rng = np.random.default_rng(seed)
         A = self._refined(rng, 7)
-        tape = Tape()
-        res = differentiable_node_selection(tape.leaf(A), tape.leaf(np.zeros((1, 1))), tau=0.5)
-        out = res.selected.value
+        support, _, res = select_on_support(A, np.zeros((1, 1)), tau=0.5)
+        out = support.densify(res.selected.value)
         assert out == pytest.approx(out.T, abs=1e-12)
         assert np.all(out >= 0)
         assert np.all(out <= A + 1e-12)
@@ -283,24 +304,43 @@ class TestPipeline:
         m = 5
         A = self._refined(rng, m)
         raw_theta = np.full((1, 1), -0.2)
+        support, F = on_support(A)
 
         def build(tape, leaves):
-            res = differentiable_node_selection(leaves[0], leaves[1], tau=0.7)
+            res = differentiable_node_selection(leaves[0], leaves[1], tau=0.7, support=support)
             return ad.sum_all(res.selected)
 
         # guard: stay away from the ReLU kink and score ties so central
         # differences see a smooth function
-        tape = Tape()
-        probe = differentiable_node_selection(
-            tape.leaf(A), tape.leaf(raw_theta), tau=0.7
-        )
+        _, _, probe = select_on_support(A, raw_theta, tau=0.7)
         theta = 1.0 / (1.0 + math.exp(-raw_theta[0, 0]))
         gaps = np.abs(probe.coefficients - theta)
         assert gaps.min() >= 1e-3
         scores = probe.scores[0]
         assert np.min(np.abs(np.subtract.outer(scores, scores)[~np.eye(m, dtype=bool)])) >= 1e-3
 
-        assert ad.finite_difference_check(build, [A, raw_theta]) <= 1e-4
+        assert ad.finite_difference_check(build, [F, raw_theta]) <= 1e-4
+
+
+def run_both(A, raw_theta, tau, R):
+    """Selection of A on its edge support and by the m x m reference, with
+    upstream gradient R: (selected, adj gradient, raw_theta gradient) of
+    each, the edge layout's densified."""
+    support, (adj, theta), res = select_on_support(A, raw_theta, tau)
+    res.selected.tape.backward(ad.masked_sum(res.selected, support.gather(R)))
+    edge = (support.densify(res.selected.value), support.densify(adj.grad), theta.grad)
+    tape = Tape()
+    adj, theta = tape.leaf(A), tape.leaf(raw_theta)
+    selected, _ = dense_reference.select(adj, theta, tau)
+    tape.backward(ad.masked_sum(selected, R))
+    return edge, (selected.value, adj.grad, theta.grad), support
+
+
+def assert_matches_reference(edge, dense, support):
+    on = support.densify(np.ones(support.nnz)) != 0
+    assert edge[0].tobytes() == dense[0].tobytes()
+    for got, want in ((edge[1][on], dense[1][on]), (edge[2], dense[2])):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
 class TestSelectionOp:
@@ -319,8 +359,7 @@ class TestSelectionOp:
             A = rng.uniform(0.2, 1.5, size=(m, m))
             raw_theta = rng.uniform(-1.5, 0.5, size=(1, 1))
             tau = float(rng.choice([0.5, 1.0, 2.0]))
-            tape = Tape()
-            res = differentiable_node_selection(tape.leaf(A), tape.leaf(raw_theta), tau)
+            _, _, res = select_on_support(A, raw_theta, tau)
             theta = 1.0 / (1.0 + math.exp(-raw_theta[0, 0]))
             scores = res.scores[0]
             gains = np.sort(dcg_confidence(res.permutation)[0])
@@ -339,34 +378,49 @@ class TestSelectionOp:
     @pytest.mark.parametrize("case", range(4))
     def test_gradients_match_finite_differences(self, case):
         A, raw_theta, tau, R = self._smooth_instances(4)[case]
+        support, F = on_support(A)
+        R = support.gather(R)
 
         def build(tape, leaves):
-            res = differentiable_node_selection(leaves[0], leaves[1], tau)
-            return ad.sum_all(ad.mul_const(res.selected, R))
+            res = differentiable_node_selection(leaves[0], leaves[1], tau, support)
+            return ad.masked_sum(res.selected, R)
 
-        assert ad.finite_difference_check(build, [A, raw_theta], step=1e-6) <= 1e-6
+        assert ad.finite_difference_check(build, [F, raw_theta], step=1e-6) <= 1e-6
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_full_support_matches_the_dense_reference(self, case):
+        A, raw_theta, tau, R = self._smooth_instances(4)[case]
+        assert_matches_reference(*run_both(A, raw_theta, tau, R))
 
     def test_records_one_tape_node(self):
+        support, F = on_support(np.random.default_rng(22).uniform(0.2, 1.0, size=(6, 6)))
         tape = Tape()
-        adj = tape.leaf(np.random.default_rng(22).uniform(0.2, 1.0, size=(6, 6)))
+        adj = tape.leaf(F)
         raw_theta = tape.leaf(np.full((1, 1), -0.4))
         before = len(tape.nodes)
-        res = differentiable_node_selection(adj, raw_theta, 0.5)
+        res = differentiable_node_selection(adj, raw_theta, 0.5, support)
         assert tape.nodes[before:] == [res.selected]
         assert res.selected.parents == (adj, raw_theta)
+        assert res.selected.value.shape == (1, support.nnz)
+
+    def test_mismatched_edge_values_rejected(self):
+        support, F = on_support(np.ones((3, 3)))
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            differentiable_node_selection(
+                tape.leaf(np.ones((3, 3))), tape.leaf(np.zeros((1, 1))), 0.5, support
+            )
 
     def test_pass_through_gives_adjacency_the_upstream_gradient(self):
         rng = np.random.default_rng(23)
-        A = rng.uniform(0.2, 1.0, size=(5, 5))
+        A = rng.uniform(0.2, 1.0, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.6)
         R = rng.normal(size=(5, 5))
-        tape = Tape()
-        adj = tape.leaf(A)
-        raw_theta = tape.leaf(np.full((1, 1), 50.0))  # threshold tops every coefficient
-        res = differentiable_node_selection(adj, raw_theta, 0.5)
-        tape.backward(ad.sum_all(ad.mul_const(res.selected, R)))
-        assert np.array_equal(res.selected.value, A)
-        assert np.array_equal(adj.grad, R)
-        assert np.array_equal(raw_theta.grad, np.zeros((1, 1)))
+        raw_theta = np.full((1, 1), 50.0)  # threshold tops every coefficient
+        edge, dense, support = run_both(A, raw_theta, 0.5, R)
+        assert np.array_equal(edge[0], A)
+        assert np.array_equal(edge[1], support.densify(support.gather(R)))
+        assert np.array_equal(edge[2], np.zeros((1, 1)))
+        assert_matches_reference(edge, dense, support)
 
     def test_equal_confidences_pass_no_gradient_to_the_scores(self):
         # a circulant adjacency: every column holds the same nonzero entries,
@@ -374,16 +428,89 @@ class TestSelectionOp:
         base = np.array([0.9, 0.3, 0.0, 0.5, 0.0])
         A = np.array([np.roll(base, i) for i in range(5)])
         R = np.random.default_rng(24).normal(size=(5, 5))
-        tape = Tape()
-        adj = tape.leaf(A)
-        raw_theta = tape.leaf(np.full((1, 1), -0.3))
-        res = differentiable_node_selection(adj, raw_theta, 0.5)
-        tape.backward(ad.sum_all(ad.mul_const(res.selected, R)))
+        support, (adj, raw_theta), res = select_on_support(A, np.full((1, 1), -0.3), 0.5)
+        res.selected.tape.backward(ad.masked_sum(res.selected, support.gather(R)))
         assert np.array_equal(res.confidence, np.full((1, 5), 0.5))
         # a uniform gate scales every edge by 1 and leaves the graph as it is
-        assert np.array_equal(res.selected.value, A)
-        assert np.array_equal(adj.grad, R)
+        assert np.array_equal(support.densify(res.selected.value), A)
+        assert np.array_equal(adj.grad, support.gather(R))
         assert abs(raw_theta.grad[0, 0]) <= 1e-12
+
+    @pytest.mark.parametrize("case", [(70, 40, 0.04, False), (71, 40, 0.05, True), (72, 30, 0.2, True)])
+    def test_sparse_supports_match_the_dense_reference(self, case):
+        # the refinement tests' SPARSE_CASES, asymmetric values included
+        seed, m, pair_density, asymmetric = case
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.uniform(size=(m, m)) < pair_density, 1)
+        pattern = upper | upper.T | np.eye(m, dtype=bool)
+        if asymmetric:
+            pattern &= ~(upper & (rng.uniform(size=(m, m)) < 0.3))
+        A = np.where(pattern, rng.uniform(0.2, 1.5, size=(m, m)), 0.0)
+        for raw_theta in (-1.0, 0.0, 0.6):
+            R = rng.normal(size=(m, m))
+            assert_matches_reference(*run_both(A, np.full((1, 1), raw_theta), 0.5, R))
+
+    def test_peak_is_taken_over_all_pairs_without_self_loops(self):
+        # a ring with no self-loops: the largest coefficient, the most
+        # confident node's own, is no edge, and still sets the gate's peak
+        rng = np.random.default_rng(27)
+        m = 8
+        ring = np.roll(np.eye(m), 1, axis=1)
+        A = (ring + ring.T) * rng.uniform(0.2, 1.5, size=(m, m))
+        edge, dense, support = run_both(A, np.full((1, 1), -0.4), 0.5, rng.normal(size=(m, m)))
+        assert not np.any(support.rows == support.cols)
+        assert_matches_reference(edge, dense, support)
+
+    def test_peak_position_is_the_first_dense_argmax(self):
+        # ties and 1-ulp near-ties in the confidences, at the top and below it
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            ibar = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=m)
+            ibar[rng.integers(m)] = 1.0
+            near = rng.uniform(size=m) < 0.3
+            ibar[near] = np.nextafter(ibar[near], 0.0)
+            theta = float(rng.choice([0.1, 0.4, 0.5, 0.7]))
+            peak = max(float(ibar.max() - theta), 0.0)
+            if peak == 0.0:
+                continue
+            C = confidence_coefficients(ibar.reshape(1, -1))
+            scale = np.maximum(C - theta, 0.0) / peak
+            want = np.unravel_index(np.argmax(scale), scale.shape)
+            assert selection._peak_position(ibar, theta, peak) == want
+
+    def test_peak_off_the_diagonal_and_the_support(self, monkeypatch):
+        # Node 1's confidence is 1 ulp below node 4's 1.0; their mean rounds
+        # to 1.0, so the dense scale first reaches its peak at (1, 4), which
+        # is no edge. The peak's gradient term must enter row 1, column 4 and
+        # the threshold's gradient there.
+        near, top, m = 1, 4, 7
+        normalize = selection.normalize_confidence
+
+        def near_tie(raw):
+            ibar = normalize(raw).copy()
+            ibar[0, top] = 1.0
+            ibar[0, near] = np.nextafter(1.0, 0.0)
+            return ibar
+
+        monkeypatch.setattr(selection, "normalize_confidence", near_tie)
+        monkeypatch.setattr(dense_reference, "normalize_confidence", near_tie)
+        rng = np.random.default_rng(25)
+        upper = np.triu(rng.uniform(size=(m, m)) < 0.5, 1)
+        upper[near, top] = False
+        pattern = upper | upper.T | np.eye(m, dtype=bool)
+        values = rng.uniform(0.2, 1.5, size=(m, m))
+        A = np.where(pattern, np.triu(values) + np.triu(values, 1).T, 0.0)
+        raw_theta = np.full((1, 1), -0.4)
+        R = rng.normal(size=(m, m))
+        edge, dense, support = run_both(A, raw_theta, 0.5, R)
+
+        tape = Tape()
+        _, C = dense_reference.select(tape.leaf(A), tape.leaf(raw_theta), 0.5)
+        scale = np.maximum(C - 1.0 / (1.0 + math.exp(0.4)), 0.0)
+        assert np.unravel_index(np.argmax(scale), scale.shape) == (near, top)
+        assert A[near, top] == 0.0
+        assert_matches_reference(edge, dense, support)
 
     @pytest.mark.parametrize(
         "scores",
