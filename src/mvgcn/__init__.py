@@ -3,7 +3,8 @@
 Per-view KNN graphs are fused through trainable view weights, refined by a
 learned shrinkage mask, pruned by differentiable node selection, and fed to
 a two-layer graph convolution, all trained end-to-end on a hand-rolled
-reverse-mode tape. ``mvgcn.autodiff`` is usable on its own.
+reverse-mode tape. ``mvgcn.autodiff`` holds the tape and the generic
+ops the model records; the stages record their own ops on it.
 """
 
 from .autodiff import Node, Tape

@@ -8,6 +8,12 @@ loss node fills in ``node.grad`` for everything on the tape, and
 collector. A :class:`NoGradTape` computes the same values and records
 nothing, for forward passes that need no gradient.
 
+The module holds the generic ops the model records: the matrix product,
+``div``, ``log``, ``maximum``/``relu``, ``softmax_rows`` and the reductions
+``col_sum``, ``sum_all``, ``masked_sum`` and ``weighted_sum``. Fusion,
+refinement, selection and the GCN's adjacency products are ops of their own
+modules, built on the same ``Node`` and ``_accumulate``.
+
 A gradient array is created during ``backward``, when the first contribution
 reaches its node, and later ones are added to it. A first contribution that
 its backward rule has just allocated and holds nowhere else becomes the
@@ -15,45 +21,31 @@ gradient as is; any other (an upstream gradient passed on unchanged, or a
 view of one) is copied, so no two nodes share a gradient buffer. A node that
 no contribution reaches gets zeros when the sweep passes it.
 
-Elementwise binary operations accept operands of identical shape, or allow
-one side to be 1x1 (broadcast as a scalar); no operation broadcasts a row or
-column vector. Subgradients at the ReLU / abs / max kinks are defined as 0.
+``div`` takes operands of identical shape, or lets one side be 1x1
+(broadcast as a scalar); no other op broadcasts. The subgradient at the
+kink of ``maximum`` and ``relu`` is 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Node",
     "Tape",
     "NoGradTape",
     "matmul",
-    "transpose",
-    "add",
-    "sub",
-    "mul",
     "div",
-    "scalar_mul",
-    "add_scalar",
-    "mul_const",
-    "absval",
-    "sigmoid",
     "relu",
     "maximum",
-    "exp",
     "log",
     "softmax_rows",
-    "row_sum",
     "col_sum",
     "sum_all",
-    "max_all",
-    "min_all",
     "masked_sum",
     "weighted_sum",
-    "finite_difference_check",
 ]
 
 
@@ -92,10 +84,6 @@ class Node:
         # drops it so that each parent is freed once it is no longer used
         if self.tape.record:
             self._rule = rule
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -172,20 +160,12 @@ def _same_tape(a: Node, b: Node, op: str) -> Tape:
     return a.tape
 
 
-def _binary_shape(a: Node, b: Node, op: str):
-    if a.value.shape == b.value.shape:
-        return
-    if a.value.shape == (1, 1) or b.value.shape == (1, 1):
-        return
-    raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} do not conform")
-
-
 def _accumulate(parent: Node, term: np.ndarray, owned: bool = False):
     """Add ``term`` to ``parent.grad``, creating the gradient on first write.
 
     ``owned=True`` says the caller allocated ``term`` for this call and keeps
     no other reference to it, so a C-ordered term becomes the gradient as is.
-    Any other first term is copied, in C order even for a transpose's g.T:
+    Any other first term is copied, in C order even for a transposed view:
     the elementwise Adam update runs about a third slower on a
     Fortran-ordered gradient.
     """
@@ -202,53 +182,14 @@ def _accumulate(parent: Node, term: np.ndarray, owned: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise and matrix product
+# binary ops
 # ---------------------------------------------------------------------------
-
-
-def add(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b, "add")
-    _binary_shape(a, b, "add")
-    out = Node(a.value + b.value, (a, b), "add", tape)
-
-    def _bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    out._backward = _bw
-    return out
-
-
-def sub(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b, "sub")
-    _binary_shape(a, b, "sub")
-    out = Node(a.value - b.value, (a, b), "sub", tape)
-
-    def _bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g, owned=True)
-
-    out._backward = _bw
-    return out
-
-
-def mul(a: Node, b: Node) -> Node:
-    """Hadamard (elementwise) product."""
-    tape = _same_tape(a, b, "mul")
-    _binary_shape(a, b, "mul")
-    out = Node(a.value * b.value, (a, b), "mul", tape)
-
-    def _bw(g):
-        _accumulate(a, g * b.value, owned=True)
-        _accumulate(b, g * a.value, owned=True)
-
-    out._backward = _bw
-    return out
 
 
 def div(a: Node, b: Node) -> Node:
     tape = _same_tape(a, b, "div")
-    _binary_shape(a, b, "div")
+    if a.value.shape != b.value.shape and (1, 1) not in (a.value.shape, b.value.shape):
+        raise ShapeError(f"div: shapes {a.value.shape} and {b.value.shape} do not conform")
     if np.any(b.value == 0.0):
         raise DomainError("div: divisor contains zero entries")
     out = Node(a.value / b.value, (a, b), "div", tape)
@@ -278,88 +219,8 @@ def matmul(a: Node, b: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# ops with a plain-number or constant-array second argument
+# unary elementwise and row-wise
 # ---------------------------------------------------------------------------
-
-
-def scalar_mul(a: Node, c: float) -> Node:
-    c = float(c)
-    out = Node(a.value * c, (a,), "scalar_mul", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g * c, owned=True)
-
-    out._backward = _bw
-    return out
-
-
-def add_scalar(a: Node, c: float) -> Node:
-    c = float(c)
-    out = Node(a.value + c, (a,), "add_scalar", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g)
-
-    out._backward = _bw
-    return out
-
-
-def mul_const(a: Node, const) -> Node:
-    """Elementwise product with a fixed (non-differentiated) array."""
-    carr = as_matrix(const)
-    if carr.shape != a.value.shape:
-        raise ShapeError(
-            f"mul_const: shapes {a.value.shape} and {carr.shape} do not conform"
-        )
-    out = Node(a.value * carr, (a,), "mul_const", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g * carr, owned=True)
-
-    out._backward = _bw
-    return out
-
-
-# ---------------------------------------------------------------------------
-# unary elementwise
-# ---------------------------------------------------------------------------
-
-
-def transpose(a: Node) -> Node:
-    out = Node(np.ascontiguousarray(a.value.T), (a,), "transpose", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g.T)
-
-    out._backward = _bw
-    return out
-
-
-def absval(a: Node) -> Node:
-    out = Node(np.abs(a.value), (a,), "abs", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g * np.sign(a.value), owned=True)
-
-    out._backward = _bw
-    return out
-
-
-def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: exp of a non-positive argument only.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Node) -> Node:
-    s = _sigmoid_array(a.value)
-    out = Node(s, (a,), "sigmoid", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g * s * (1.0 - s), owned=True)
-
-    out._backward = _bw
-    return out
 
 
 def relu(a: Node) -> Node:
@@ -379,19 +240,6 @@ def maximum(a: Node, c: float, _op: str = "maximum") -> Node:
     return out
 
 
-def exp(a: Node) -> Node:
-    v = np.exp(a.value)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("exp: result overflows float64")
-    out = Node(v, (a,), "exp", a.tape)
-
-    def _bw(g):
-        _accumulate(a, g * v, owned=True)
-
-    out._backward = _bw
-    return out
-
-
 def log(a: Node) -> Node:
     if np.any(a.value <= 0.0):
         raise DomainError("log: input contains non-positive entries")
@@ -402,6 +250,12 @@ def log(a: Node) -> Node:
 
     out._backward = _bw
     return out
+
+
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    # Stable in both tails: exp of a non-positive argument only.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax_rows_array(x: np.ndarray) -> np.ndarray:
@@ -433,17 +287,6 @@ def softmax_rows(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def row_sum(a: Node) -> Node:
-    """Sum along each row: (m, n) -> (m, 1)."""
-    out = Node(a.value.sum(axis=1, keepdims=True), (a,), "row_sum", a.tape)
-
-    def _bw(g):
-        _accumulate(a, np.broadcast_to(g, a.value.shape))
-
-    out._backward = _bw
-    return out
-
-
 def col_sum(a: Node) -> Node:
     """Sum along each column: (m, n) -> (1, n)."""
     out = Node(a.value.sum(axis=0, keepdims=True), (a,), "col_sum", a.tape)
@@ -460,36 +303,6 @@ def sum_all(a: Node) -> Node:
 
     def _bw(g):
         _accumulate(a, np.broadcast_to(g, a.value.shape))
-
-    out._backward = _bw
-    return out
-
-
-def max_all(a: Node) -> Node:
-    """Largest entry as a 1x1 node; gradient flows to the first argmax."""
-    flat_idx = int(np.argmax(a.value))
-    idx = np.unravel_index(flat_idx, a.value.shape)
-    out = Node(np.array([[a.value[idx]]]), (a,), "max_all", a.tape)
-
-    def _bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[idx] += g[0, 0]
-
-    out._backward = _bw
-    return out
-
-
-def min_all(a: Node) -> Node:
-    """Smallest entry as a 1x1 node; gradient flows to the first argmin."""
-    flat_idx = int(np.argmin(a.value))
-    idx = np.unravel_index(flat_idx, a.value.shape)
-    out = Node(np.array([[a.value[idx]]]), (a,), "min_all", a.tape)
-
-    def _bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[idx] += g[0, 0]
 
     out._backward = _bw
     return out
@@ -533,51 +346,3 @@ def weighted_sum(c: Node, mats) -> Node:
 
     out._backward = _bw
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_check(build, params, step: float = 1e-6) -> float:
-    """Compare analytic gradients of a scalar function against central differences.
-
-    ``build(tape, leaves)`` must construct and return a 1x1 loss node from the
-    given leaf nodes; it is called repeatedly with perturbed copies of
-    ``params`` and must be deterministic. Returns the maximum over all
-    parameter entries of ``|analytic - numeric| / max(1, |numeric|)``.
-    """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    params = [as_matrix(p) for p in params]
-
-    def evaluate(arrays):
-        tape = Tape()
-        leaves = [tape.leaf(arr) for arr in arrays]
-        loss = build(tape, leaves)
-        if loss.value.shape != (1, 1):
-            raise ShapeError(f"loss must be 1x1, got shape {loss.value.shape}")
-        if not np.isfinite(loss.value[0, 0]):
-            raise DomainError("function value is not finite")
-        return tape, leaves, loss
-
-    tape, leaves, loss = evaluate(params)
-    tape.backward(loss)
-    analytic = [leaf.grad.copy() for leaf in leaves]
-
-    worst = 0.0
-    for pi, base in enumerate(params):
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            plus = [p.copy() for p in params]
-            plus[pi][idx] += step
-            minus = [p.copy() for p in params]
-            minus[pi][idx] -= step
-            f_plus = float(evaluate(plus)[2].value[0, 0])
-            f_minus = float(evaluate(minus)[2].value[0, 0])
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            err = abs(analytic[pi][idx] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -199,23 +199,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_checkpoint_fits(state, dataset, features: np.ndarray) -> None:
-    """The model is transductive: its shapes pin the view count, the node
-    count and the feature width of the dataset it was trained on."""
-    V, m, d = dataset.num_views, dataset.num_samples, features.shape[1]
-    for name, want, what in (
-        ("raw_weights", (V, V), "views"),
-        ("S1", (m, m), "samples"),
-        ("W1", (d,), "feature columns"),
-    ):
-        if name not in state.params:
-            raise DataLoadError(f"checkpoint has no parameter {name!r}")
+def _check_checkpoint_fits(state, cfg: RunConfig, dataset, features: np.ndarray) -> None:
+    """A checkpoint holds exactly the parameters ``init_model`` makes for its
+    config. The model is transductive: their shapes pin the view count, the
+    node count, the feature width and the class count of the dataset it was
+    trained on, and the config fixes the hidden width and the layer count."""
+    views = (dataset.num_views, "views", "the dataset has")
+    samples = (dataset.num_samples, "samples", "the dataset has")
+    hidden = (cfg.hidden_dim, "hidden units", "its config has hidden_dim")
+    widths = (
+        [(features.shape[1], "feature columns", "the dataset has")]
+        + [hidden] * (cfg.layers - 1)
+        + [(dataset.classes, "classes", "the dataset has")]
+    )
+    threshold = (1, "thresholds", "the model has")
+    want = {
+        "raw_weights": (views, views),
+        "S1": (samples, samples),
+        "S2": (samples, samples),
+        "raw_theta": (threshold, threshold),
+    }
+    for l in range(cfg.layers):
+        want[f"W{l + 1}"] = (widths[l], widths[l + 1])
+    missing = [name for name in want if name not in state.params]
+    if missing:
+        raise DataLoadError(f"checkpoint has no parameter {missing[0]!r}")
+    extra = sorted(set(state.params) - set(want))
+    if extra:
+        raise DataLoadError(
+            f"checkpoint has parameter {extra[0]!r}, which a model with "
+            f"layers={cfg.layers} does not have"
+        )
+    for name, axes in want.items():
         shape = state.params[name].shape
-        if shape[: len(want)] != want:
-            raise DataLoadError(
-                f"checkpoint was trained on {shape[0]} {what} ({name} has shape "
-                f"{shape}) but the dataset has {want[0]}"
-            )
+        for got, (size, what, source) in zip(shape, axes):
+            if got != size:
+                raise DataLoadError(
+                    f"checkpoint was trained on {got} {what} ({name} has shape "
+                    f"{shape}) but {source} {size}"
+                )
 
 
 def cmd_eval(args) -> int:
@@ -223,7 +245,7 @@ def cmd_eval(args) -> int:
     cfg = config_from_dict(config)
     dataset = load_dataset(args.data)
     features = feature_matrix(dataset)
-    _check_checkpoint_fits(state, dataset, features)
+    _check_checkpoint_fits(state, cfg, dataset, features)
     graphs = prepare_graphs(dataset, cfg.k, cfg.metric)
     Z = predict(state, graphs, features, **forward_settings(cfg))
     accuracy = evaluate(Z, dataset.labels, np.arange(dataset.num_samples))

@@ -95,9 +95,9 @@ def fusion_chain(adjacencies, raw_weights):
     return W, complementary, alpha, fused
 
 
-def refine(A_f, S1, S2, gamma):
-    """Shrinkage mask sigmoid(gamma * |S1 S2^T - S2 S1^T|) applied entrywise."""
-    m = len(A_f)
+def refine_score(S1, S2):
+    """The antisymmetric score M[i][j] = sum_t S1[i][t] S2[j][t] - S2[i][t] S1[j][t]."""
+    m = len(S1)
     M = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -105,12 +105,46 @@ def refine(A_f, S1, S2, gamma):
             for t in range(len(S1[0])):
                 s += S1[i][t] * S2[j][t] - S2[i][t] * S1[j][t]
             M[i][j] = s
+    return M
+
+
+def refine(A_f, S1, S2, gamma):
+    """Shrinkage mask sigmoid(gamma * |S1 S2^T - S2 S1^T|) applied entrywise."""
+    m = len(A_f)
+    M = refine_score(S1, S2)
     out = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             mask = 1.0 / (1.0 + math.exp(-gamma * abs(M[i][j])))
             out[i][j] = A_f[i][j] * mask
     return out
+
+
+def refine_gradients(A_f, S1, S2, gamma, R):
+    """Gradients of sum_ij R[i][j] * refine(A_f, S1, S2, gamma)[i][j] with
+    respect to A_f, S1 and S2, entry by entry from the definition
+    A_f[i][j] * sigmoid(gamma * |M[i][j]|) with M = refine_score(S1, S2).
+    The subgradient of |.| at 0 is 0."""
+    m, r = len(A_f), len(S1[0])
+    M = refine_score(S1, S2)
+    dA = [[0.0] * m for _ in range(m)]
+    G = [[0.0] * m for _ in range(m)]  # d loss / d M[i][j]
+    for i in range(m):
+        for j in range(m):
+            mask = 1.0 / (1.0 + math.exp(-gamma * abs(M[i][j])))
+            sign = (M[i][j] > 0.0) - (M[i][j] < 0.0)
+            dA[i][j] = R[i][j] * mask
+            G[i][j] = R[i][j] * A_f[i][j] * mask * (1.0 - mask) * gamma * sign
+    # S1[i][t] enters M[i][j] as S1[i][t] S2[j][t] and M[j][i] as
+    # -S2[j][t] S1[i][t]; S2[i][t] enters M[j][i] and M[i][j] likewise
+    dS1 = [[0.0] * r for _ in range(m)]
+    dS2 = [[0.0] * r for _ in range(m)]
+    for i in range(m):
+        for t in range(r):
+            for j in range(m):
+                dS1[i][t] += (G[i][j] - G[j][i]) * S2[j][t]
+                dS2[i][t] += (G[j][i] - G[i][j]) * S1[j][t]
+    return dA, dS1, dS2
 
 
 def column_mean_nonzero(A):

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvgcn import autodiff as ad
 from mvgcn.autodiff import Tape
 from mvgcn.cli import write_json
 from mvgcn.config import RunConfig, config_to_dict
@@ -37,6 +36,7 @@ from mvgcn.selection import (
 )
 
 import oracles
+from gradcheck import finite_difference_check
 from kinkfree import smoothness_margin
 
 
@@ -121,7 +121,7 @@ def test_gradient_fidelity():
         fwd = forward(tape, by_name, support, features, gamma=gamma, tau=tau)
         return masked_cross_entropy(fwd.probabilities, Y, omega)
 
-    err = ad.finite_difference_check(build, [state.params[n] for n in names], step=1e-6)
+    err = finite_difference_check(build, [state.params[n] for n in names], step=1e-6)
     elapsed = time.perf_counter() - start
     report(
         "gradient fidelity",

@@ -309,6 +309,37 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", bad, "--data", data_dir) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"drop": "S2"}, "checkpoint has no parameter 'S2'"),
+            ({"drop": "W2"}, "checkpoint has no parameter 'W2'"),
+            ({"copy": ("W2", "W3")}, "parameter 'W3', which a model with layers=2"),
+            ({"config": {"hidden_dim": 16}}, "8 hidden units (W1 has shape (20, 8))"),
+        ],
+        ids=["missing-S2", "missing-W2", "extra-W3", "hidden-dim"],
+    )
+    def test_parameters_that_do_not_fit_the_config_exit_1_naming_one(
+        self, checkpoint, data_dir, tmp_path, capsys, edit, message
+    ):
+        # every section is edited alike and the config hash is recomputed,
+        # so the checkpoint loads and only its fit to the config is wrong
+        payload = json.loads(checkpoint.read_text())
+        for section in ("params", "first_moment", "second_moment"):
+            arrays = payload[section]
+            if "drop" in edit:
+                del arrays[edit["drop"]]
+            if "copy" in edit:
+                source, target = edit["copy"]
+                arrays[target] = arrays[source]
+        payload["config"].update(edit.get("config", {}))
+        payload["config_hash"] = config_digest(payload["config"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", bad, "--data", data_dir) == 1
+        assert message in capsys.readouterr().err
+
     def test_checkpoint_naming_the_removed_field_exits_2(self, checkpoint, data_dir, tmp_path, capsys):
         # checkpoints written while renormalize_after_selection existed store
         # it in their config; the hash is recomputed so only the field is wrong

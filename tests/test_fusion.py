@@ -17,6 +17,7 @@ from mvgcn.fusion import (
 from mvgcn.graphs import Graph
 
 import oracles
+from gradcheck import finite_difference_check
 
 # the entry points that validate the views; each takes the mixing weights too
 VIEW_STAGES = (complementary_graphs, lambda views, W: fuse_views(edge_support(views), W))
@@ -250,4 +251,4 @@ class TestFusionProperties:
             res = fuse_views(support, leaves[0])
             return ad.masked_sum(res.fused, probe)
 
-        assert ad.finite_difference_check(build, [raw0]) <= 1e-5
+        assert finite_difference_check(build, [raw0]) <= 1e-5

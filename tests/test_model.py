@@ -32,6 +32,7 @@ from mvgcn.model import (
 import dense_reference
 import oracles
 from dense_reference import on_support
+from gradcheck import finite_difference_check
 from kinkfree import smoothness_margin
 
 
@@ -126,7 +127,7 @@ class TestGcnLayer:
         def build(tape, leaves):
             return ad.masked_sum(gcn_layer(*leaves, support, "softmax-rows"), R)
 
-        assert ad.finite_difference_check(build, [F, H, W], step=1e-6) <= 1e-6
+        assert finite_difference_check(build, [F, H, W], step=1e-6) <= 1e-6
 
     def test_unknown_activation_rejected(self):
         support, F = on_support(np.eye(2))
@@ -550,7 +551,7 @@ class TestFullModelGradients:
             fwd = forward(tape, by_name, support, features, gamma=gamma, tau=tau)
             return masked_cross_entropy(fwd.probabilities, Y, omega)
 
-        err = ad.finite_difference_check(build, [state.params[n] for n in names])
+        err = finite_difference_check(build, [state.params[n] for n in names])
         assert err <= 1e-4
 
 
