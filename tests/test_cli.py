@@ -9,7 +9,7 @@ from mvgcn import experiment
 from mvgcn.cli import _fusion_summary, main, save_prepared_graphs, write_csv, write_json
 from mvgcn.data import make_synthetic, save_dataset
 from mvgcn.graphs import Graph
-from mvgcn.model import config_digest, init_model
+from mvgcn.model import _encode_array, config_digest, init_model
 
 
 @pytest.fixture(scope="module")
@@ -262,13 +262,14 @@ class TestEval:
             ({"m": 40, "num_views": 2}, ("24 samples", "has 40")),
             ({"m": 24, "num_views": 3}, ("2 views", "has 3")),
             ({"m": 24, "num_views": 2, "features_per_view": 6}, ("20 feature columns", "has 12")),
+            ({"m": 24, "num_views": 2, "classes": 3}, ("2 classes", "has 3")),
         ],
     )
     def test_dataset_the_checkpoint_cannot_score_exits_1(
         self, checkpoint, tmp_path, capsys, kwargs, sizes
     ):
         other = tmp_path / "other"
-        save_dataset(other, make_synthetic(classes=2, noise=0.2, seed=5, **kwargs))
+        save_dataset(other, make_synthetic(**{"classes": 2, "noise": 0.2, "seed": 5, **kwargs}))
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", checkpoint, "--data", other) == 1
         err = capsys.readouterr().err
@@ -313,11 +314,20 @@ class TestEval:
         "edit, message",
         [
             ({"drop": "S2"}, "checkpoint has no parameter 'S2'"),
+            ({"drop": "raw_theta"}, "checkpoint has no parameter 'raw_theta'"),
             ({"drop": "W2"}, "checkpoint has no parameter 'W2'"),
             ({"copy": ("W2", "W3")}, "parameter 'W3', which a model with layers=2"),
+            ({"config": {"layers": 3}}, "checkpoint has no parameter 'W3'"),
             ({"config": {"hidden_dim": 16}}, "8 hidden units (W1 has shape (20, 8))"),
+            (
+                {"set": ("raw_theta", np.zeros((1, 2)))},
+                "(raw_theta has shape (1, 2)) but the model has 1",
+            ),
         ],
-        ids=["missing-S2", "missing-W2", "extra-W3", "hidden-dim"],
+        ids=[
+            "missing-S2", "missing-raw_theta", "missing-W2", "extra-W3", "layers-3",
+            "hidden-dim", "theta-shape",
+        ],
     )
     def test_parameters_that_do_not_fit_the_config_exit_1_naming_one(
         self, checkpoint, data_dir, tmp_path, capsys, edit, message
@@ -332,6 +342,9 @@ class TestEval:
             if "copy" in edit:
                 source, target = edit["copy"]
                 arrays[target] = arrays[source]
+            if "set" in edit:
+                name, value = edit["set"]
+                arrays[name] = _encode_array(value)
         payload["config"].update(edit.get("config", {}))
         payload["config_hash"] = config_digest(payload["config"])
         bad = tmp_path / "bad.json"

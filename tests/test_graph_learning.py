@@ -180,6 +180,30 @@ class TestRefineOp:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - np.array(w))) <= 1e-12
 
+    def test_scalar_loop_oracle_gradients_match_its_own_finite_differences(self):
+        # the oracle's gradients against central differences of oracles.refine,
+        # so the reference above is checked without the op
+        rng = np.random.default_rng(47)
+        m, gamma, h = 4, 1.5, 1e-6
+        A, S1, S2 = smooth_instance(rng, m)
+        R = rng.normal(size=(m, m))
+        inputs = [x.tolist() for x in (A, S1, S2)]
+
+        def loss(args):
+            out = oracles.refine(*args, gamma)
+            return sum(R[i, j] * out[i][j] for i in range(m) for j in range(m))
+
+        grads = oracles.refine_gradients(*inputs, gamma, R.tolist())
+        for which, grad in enumerate(grads):
+            for i in range(m):
+                for j in range(m):
+                    bumped = [[row[:] for row in x] for x in inputs]
+                    bumped[which][i][j] += h
+                    up = loss(bumped)
+                    bumped[which][i][j] -= 2 * h
+                    slope = (up - loss(bumped)) / (2 * h)
+                    assert grad[i][j] == pytest.approx(slope, rel=1e-6, abs=1e-8)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_of_all_parents_match_finite_differences(self, seed):
         rng = np.random.default_rng(50 + seed)
