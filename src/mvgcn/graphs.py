@@ -30,6 +30,18 @@ METRICS = ("euclidean", "cosine")
 # columns, and no slower at m=200 or at 4 and 64 columns.
 _SDDMM_BLOCK_ENTRIES = 1 << 15
 
+# Entries per block of rows when node selection and the Adam update sweep an
+# array a block of rows at a time, so that no temporary as large as the whole
+# array is allocated: m=200 fits in one block, m=800 runs in 81-row blocks.
+_ROW_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` rows of a ``cols``-wide array,
+    each holding at most ``_ROW_BLOCK_ENTRIES`` entries but at least one row."""
+    step = max(1, _ROW_BLOCK_ENTRIES // max(cols, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
 
 @dataclass
 class Graph:

@@ -40,8 +40,8 @@ from .errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from .fileio import atomic_open
 from .fusion import FusionResult, edge_support, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
-from .graphs import EdgeSupport, Graph
-from .selection import SelectionResult, differentiable_node_selection, hard_topk_baseline
+from .graphs import EdgeSupport, Graph, _row_blocks
+from .selection import SelectionResult, differentiable_node_selection, hard_topk_edges
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -185,13 +185,18 @@ def forward(
     elif dns_mode == "hard-topk":
         # non-differentiable baseline: the selected graph is a constant of
         # the current forward values, so no gradient reaches the stages above;
-        # the rows' top k are nonzero edges or zeros, so the support holds them
-        adjacency = tape.leaf(support.gather(hard_topk_baseline(support.densify(refined.value), k)))
+        # the refined values are non-negative, so each CSR row's top k are
+        # the dense row's
+        adjacency = tape.leaf(hard_topk_edges(refined.value, k, support))
     else:
         adjacency = refined
 
+    # one weight per layer, W1 to WL with no gap
+    num_layers = max(1, sum(1 for name in leaves if name.startswith("W")))
+    for l in range(1, num_layers + 1):
+        if f"W{l}" not in leaves:
+            raise ParameterError(f"layer weights must be W1, W2, ... with no gap, but there is no 'W{l}'")
     H = tape.leaf(features)
-    num_layers = sum(1 for name in leaves if name.startswith("W"))
     for l in range(1, num_layers):
         H = gcn_layer(adjacency, H, leaves[f"W{l}"], support, "relu")
     Z = gcn_layer(adjacency, H, leaves[f"W{num_layers}"], support, "softmax-rows")
@@ -217,13 +222,44 @@ def masked_cross_entropy(Z: Node, Y: np.ndarray, labeled) -> Node:
     return ad.masked_sum(logs, weights)
 
 
+def _adam_rows(p, g, first, second, lr: float, t: int) -> bool:
+    """One Adam update of ``p`` and its moments in place, a block of rows at
+    a time; returns whether ``p`` stayed finite."""
+    blocks = _row_blocks(*p.shape)
+    scratch = np.empty((2,) + p[blocks[0]].shape)
+    for rows in blocks:
+        # views of the block's rows, written in place
+        g_b, m1, m2, p_b = g[rows], first[rows], second[rows], p[rows]
+        buf, step = scratch[:, : len(p_b)]
+        np.multiply(g_b, 1 - ADAM_BETA1, out=buf)
+        m1 *= ADAM_BETA1
+        m1 += buf
+        np.multiply(g_b, 1 - ADAM_BETA2, out=buf)
+        buf *= g_b
+        m2 *= ADAM_BETA2
+        m2 += buf
+        # p -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps)
+        np.divide(m2, 1 - ADAM_BETA2**t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        np.divide(m1, 1 - ADAM_BETA1**t, out=step)
+        step *= lr
+        step /= buf
+        p_b -= step
+        if not np.all(np.isfinite(p_b)):
+            return False
+    return True
+
+
 def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> ModelState:
     """Bias-corrected Adam update for every parameter, in place.
 
-    Two scratch arrays per parameter hold the intermediates, and the
-    moments and the parameter are updated where they lie. Each operation is
-    one the textbook formula takes, in the same order, so the result is the
-    same to the bit.
+    Each parameter is updated a block of rows at a time
+    (``graphs._ROW_BLOCK_ENTRIES``): two scratch arrays the size of one block
+    hold the intermediates, and the moments and the parameter are updated
+    where they lie. Each operation is one the textbook formula takes, in the
+    same order, so the result is the same to the bit. A gradient is checked
+    for non-finite entries in full before its parameter is written.
     """
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
@@ -233,26 +269,9 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Mod
         if name not in grads:
             raise TrainingError(f"missing gradient for parameter {name!r}")
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not all(np.isfinite(g[rows]).all() for rows in _row_blocks(*g.shape)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        m1 = state.first_moment[name]
-        m2 = state.second_moment[name]
-        buf = np.multiply(g, 1 - ADAM_BETA1)
-        m1 *= ADAM_BETA1
-        m1 += buf
-        np.multiply(g, 1 - ADAM_BETA2, out=buf)
-        buf *= g
-        m2 *= ADAM_BETA2
-        m2 += buf
-        # p -= lr * (m1 / c1) / (sqrt(m2 / c2) + eps)
-        np.divide(m2, 1 - ADAM_BETA2**t, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += ADAM_EPS
-        step = np.divide(m1, 1 - ADAM_BETA1**t)
-        step *= lr
-        step /= buf
-        p -= step
-        if not np.all(np.isfinite(p)):
+        if not _adam_rows(p, g, state.first_moment[name], state.second_moment[name], lr, t):
             raise TrainingError(f"parameter {name!r} became non-finite at step {t}")
     return state
 

@@ -26,12 +26,17 @@ max(ibar_max - theta, 0), read off the m confidences.
 The stage functions take and return plain arrays.
 ``differentiable_node_selection`` chains them and records the whole pipeline,
 from the adjacency and the raw threshold to the selected adjacency, as one
-tape node with a hand-derived backward rule. That rule keeps two m x m
-arrays from the forward pass, the relaxed permutation P and 2^P, and the
-gate's scale on the edges. The returned ``SelectionResult`` builds the
-m x m edge coefficients only when asked for them; every other intermediate
-is freed when the op returns. The hard top-k variant at the bottom is a
-plain m x m array routine kept for comparison runs.
+tape node with a hand-derived backward rule. It runs the relaxed
+permutation P, 2^P and the gain over blocks of rows
+(``graphs._ROW_BLOCK_ENTRIES``), so it holds no m x m array: each step is
+row-local and gives the bits of the m x m formulas. Between the passes it
+keeps the m gap sums, the last block of P and 2^P, and the gate's scale on
+the edges; the backward rule recomputes the other blocks of P from the
+scores, last block first, so an m that fits in one block recomputes
+nothing. The returned ``SelectionResult`` builds the m x m permutation and
+edge coefficients only when asked for them. The hard top-k variant at the
+bottom ranks the edges within each CSR row; its m x m counterpart,
+``hard_topk_baseline``, is kept as the reference.
 """
 
 from dataclasses import dataclass
@@ -47,7 +52,7 @@ from .autodiff import (
     _softmax_rows_grad,
 )
 from .errors import DomainError, ParameterError, ShapeError
-from .graphs import EdgeSupport, _smallest_k_mask
+from .graphs import EdgeSupport, _row_blocks, _smallest_k_mask
 
 _LOG2 = float(np.log(2.0))
 
@@ -87,6 +92,25 @@ def _ranks(m: int) -> np.ndarray:
     return (m + 1 - 2 * np.arange(1, m + 1, dtype=float)).reshape(m, 1)
 
 
+def _gap_sums(a: np.ndarray) -> np.ndarray:
+    """sum_j |a[i] - a[j]| for every i, a block of rows at a time; each sum
+    has the bits of ``pairwise_difference(a).sum(axis=1)``."""
+    out = np.empty(a.size)
+    for rows in _row_blocks(a.size, a.size):
+        out[rows] = np.abs(a[rows, None] - a).sum(axis=1)
+    return out
+
+
+def _permutation_rows(a_s: np.ndarray, gap_sums: np.ndarray, tau: float, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``relaxed_permutation``, from the scores and their gap sums."""
+    if tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    logits = _ranks(a_s.shape[1])[rows] * a_s
+    logits -= gap_sums
+    logits *= 1.0 / tau
+    return _softmax_rows_array(logits)
+
+
 def relaxed_permutation(a_s: np.ndarray, tau: float) -> np.ndarray:
     """Temperature-relaxed descending sort of the scores.
 
@@ -94,12 +118,7 @@ def relaxed_permutation(a_s: np.ndarray, tau: float) -> np.ndarray:
     low temperature row i concentrates on the node with the i-th largest
     score. Every row sums to 1 for any positive temperature.
     """
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    logits = _ranks(a_s.shape[1]) * a_s
-    logits -= pairwise_difference(a_s).sum(axis=1)
-    logits *= 1.0 / tau
-    return _softmax_rows_array(logits)
+    return _permutation_rows(a_s, pairwise_difference(a_s).sum(axis=1), tau, slice(None))
 
 
 def _discounts(m: int) -> np.ndarray:
@@ -108,7 +127,8 @@ def _discounts(m: int) -> np.ndarray:
 
 
 def _discounted_gain(exp2_P: np.ndarray) -> np.ndarray:
-    return ((exp2_P - 1.0) * _discounts(exp2_P.shape[0])).sum(axis=1).reshape(1, -1)
+    # one gain per row of 2^P, also for a block of its rows, as a 1 x rows row
+    return ((exp2_P - 1.0) * _discounts(exp2_P.shape[1])).sum(axis=1).reshape(1, -1)
 
 
 def dcg_confidence(P: np.ndarray) -> np.ndarray:
@@ -200,13 +220,18 @@ def _gap_sum_grad(a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SelectionResult:
-    """Every stage of the selection pipeline: plain arrays, and the selected
-    edge values as the one tape node the pipeline records."""
+    """Every stage of the selection pipeline: plain arrays, the temperature,
+    and the selected edge values as the one tape node the pipeline records."""
 
     scores: np.ndarray
-    permutation: np.ndarray
     confidence: np.ndarray
     selected: Node
+    tau: float
+
+    @property
+    def permutation(self) -> np.ndarray:
+        """The m x m relaxed permutation, built on each request."""
+        return relaxed_permutation(self.scores, self.tau)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -232,10 +257,16 @@ def differentiable_node_selection(
     A = adj.value
     if A.shape != (1, support.nnz):
         raise ShapeError(f"edge values of shape {A.shape} do not match {support.nnz} edges")
+    m = support.num_nodes
     a_s, inverse_counts = _column_means(A, support)
-    P = relaxed_permutation(a_s, tau)
-    exp2_P = np.exp2(P)
-    raw = _discounted_gain(exp2_P)
+    gap_sums = _gap_sums(a_s[0])
+    blocks = _row_blocks(m, m)
+    raw = np.empty((1, m))
+    for rows in blocks:
+        P = _permutation_rows(a_s, gap_sums, tau, rows)
+        exp2_P = np.exp2(P)
+        raw[:, rows] = _discounted_gain(exp2_P)
+    # P and 2^P now hold the last block, which the backward rule starts from
     ibar = normalize_confidence(raw)
     selected, scale, theta, peak = _gate_edges(A, ibar, raw_theta.value, support)
     out = Node(selected, (adj, raw_theta), "select", tape)
@@ -245,7 +276,6 @@ def differentiable_node_selection(
             _accumulate(adj, g)
             _accumulate(raw_theta, np.zeros((1, 1)), owned=True)
             return
-        m = support.num_nodes
         # selected = A * scale, scale = gated / peak, gated = relu(C - theta)
         d_scale = g[0] * A[0]
         d_gated = d_scale / peak
@@ -276,18 +306,36 @@ def differentiable_node_selection(
             d_low = -d_raw.sum() - d_spread
             d_raw[np.argmax(raw)] += d_spread
             d_raw[np.argmin(raw)] += d_low
-            # raw_i = sum_j (2^P_ij - 1) d_j, P = softmax(logits)
-            d_P = exp2_P * np.outer(d_raw, _discounts(m) * _LOG2)
-            d_logits = _softmax_rows_grad(P, d_P)
-            # logits_ij = (rank_i a_j - gap_sum_j) / tau
-            d_scores = _ranks(m)[:, 0] @ d_logits
-            d_scores += _gap_sum_grad(a_s[0], -d_logits.sum(axis=0))
+            # raw_i = sum_j (2^P_ij - 1) d_j, P = softmax(logits), and
+            # logits_ij = (rank_i a_j - gap_sum_j) / tau; the rank-weighted
+            # and the plain column sums of d_logits add across the blocks
+            ranks = _ranks(m)[:, 0]
+            weights = _discounts(m) * _LOG2
+
+            def block_sums(rows):
+                if rows == blocks[-1]:
+                    # the forward's block, kept intact for another sweep
+                    P_rows, d_P = P, np.outer(d_raw[rows], weights)
+                    d_P *= exp2_P
+                else:
+                    P_rows = _permutation_rows(a_s, gap_sums, tau, rows)
+                    d_P = np.exp2(P_rows)  # scaled in place
+                    d_P *= np.outer(d_raw[rows], weights)
+                d_logits = _softmax_rows_grad(P_rows, d_P)
+                return ranks[rows] @ d_logits, d_logits.sum(axis=0)
+
+            d_scores, d_gaps = block_sums(blocks[-1])
+            for rows in reversed(blocks[:-1]):
+                rank_sums, sums = block_sums(rows)
+                d_scores += rank_sums
+                d_gaps += sums
+            d_scores += _gap_sum_grad(a_s[0], -d_gaps)
             d_scores /= tau
             grad_adj += (d_scores * inverse_counts[0])[support.cols]
         _accumulate(adj, grad_adj, owned=True)
 
     out._backward = _bw
-    return SelectionResult(a_s, P, ibar, out)
+    return SelectionResult(a_s, ibar, out, tau)
 
 
 def hard_topk_baseline(A: np.ndarray, k: int) -> np.ndarray:
@@ -306,4 +354,29 @@ def hard_topk_baseline(A: np.ndarray, k: int) -> np.ndarray:
     keep = _smallest_k_mask(-A, k)
     out = np.zeros_like(A)
     out[keep] = A[keep]
+    return out
+
+
+def hard_topk_edges(edges: np.ndarray, k: int, support: EdgeSupport) -> np.ndarray:
+    """``hard_topk_baseline`` of the adjacency holding the 1 x nnz ``edges``
+    on ``support``, as edge values, ranked within each CSR row.
+
+    Each row keeps its k largest edge values, ties to the lower column. The
+    values must be non-negative (and not -0.0): then no entry off the
+    support, all of them 0, outranks an edge, and where the m x m routine
+    keeps an off-support zero in place of an edge at 0 both give 0, so the
+    kept values match it bit for bit. NaN entries are refused.
+    """
+    m = support.num_nodes
+    if not 1 <= k <= m:
+        raise ParameterError(f"k must satisfy 1 <= k <= {m}, got {k}")
+    values = edges[0]
+    if np.isnan(values).any():
+        raise DomainError("adjacency contains NaN entries")
+    order = np.lexsort((support.cols, -values, support.rows))
+    # rows ascend along the order, so position p holds rank p - indptr[row]
+    # within its row
+    keep = order[np.arange(support.nnz) - support.indptr[support.rows] < k]
+    out = np.zeros_like(edges)
+    out[0, keep] = values[keep]
     return out

@@ -100,11 +100,16 @@ def perturbed_state(m, features, trial):
     return state
 
 
+# block_rows: node selection's default row blocks, or 7-row blocks, which
+# leave a ragged last block at every instance's size
+@pytest.mark.parametrize("block_rows", [None, 7])
 @pytest.mark.parametrize("trial", range(3))
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_forward_and_gradients_match_the_dense_reference(name, trial):
+def test_forward_and_gradients_match_the_dense_reference(name, trial, block_rows, monkeypatch):
     views, features, labels = INSTANCES[name]()
     m = len(labels)
+    if block_rows is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK_ENTRIES", block_rows * m)
     state = perturbed_state(m, features, trial)
     Y, labeled = one_hot(labels, 4), np.arange(0, m, 7)
     support = edge_support(views)

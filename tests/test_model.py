@@ -1,11 +1,13 @@
 import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mvgcn import autodiff as ad
+from mvgcn import graphs as graphs_module
 from mvgcn import model as model_module
 from mvgcn.autodiff import Tape
 from mvgcn.data import SplitSpec, make_split, make_synthetic
@@ -283,6 +285,14 @@ class TestForward:
         with pytest.raises(ParameterError):
             predict(state, graphs, features, dns_mode="sometimes")
 
+    @pytest.mark.parametrize("layers,missing", [(3, "W2"), (4, "W3"), (1, "W1")])
+    def test_missing_layer_weights_named(self, layers, missing):
+        graphs, features, _ = toy_instance(7, m=10)
+        state = init_model(2, 10, features.shape[1], 4, 2, np.random.default_rng(0), layers=layers)
+        del state.params[missing]
+        with pytest.raises(ParameterError, match=f"no '{missing}'"):
+            predict(state, graphs, features, k=3)
+
 
 class TestMaskedCrossEntropy:
     def test_perfect_prediction_is_almost_zero(self):
@@ -359,14 +369,20 @@ class TestAdam:
         want = oracles.adam_trajectory([1.0, 1.0, 1.0], lr=0.1)
         assert got == pytest.approx(want, abs=1e-15)
 
-    def test_in_place_update_matches_the_out_of_place_formula(self):
+    # the default block size, and 7-row blocks with a ragged last block;
+    # 90 x 800 is taller than one block at the default size too
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("shape", [(9, 9), (90, 800)])
+    def test_in_place_update_matches_the_out_of_place_formula(self, shape, block_rows, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(graphs_module, "_ROW_BLOCK_ENTRIES", block_rows * shape[1])
         rng = np.random.default_rng(11)
-        m, lr = 9, 0.05
-        p0 = rng.normal(size=(m, m))
-        state = ModelState({"S": p0.copy()}, {"S": np.zeros((m, m))}, {"S": np.zeros((m, m))})
-        p, m1, m2 = p0.copy(), np.zeros((m, m)), np.zeros((m, m))
+        lr = 0.05
+        p0 = rng.normal(size=shape)
+        state = ModelState({"S": p0.copy()}, {"S": np.zeros(shape)}, {"S": np.zeros(shape)})
+        p, m1, m2 = p0.copy(), np.zeros(shape), np.zeros(shape)
         for t in range(1, 6):
-            g = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=(m, m))
+            g = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape)
             adam_step(state, {"S": g}, lr)
             m1 = model_module.ADAM_BETA1 * m1 + (1 - model_module.ADAM_BETA1) * g
             m2 = model_module.ADAM_BETA2 * m2 + (1 - model_module.ADAM_BETA2) * g * g
@@ -386,6 +402,34 @@ class TestAdam:
         state = self._scalar_state()
         with pytest.raises(TrainingError, match="x"):
             adam_step(state, {"x": np.array([[np.nan]])}, lr=0.1)
+
+    def test_gradient_is_checked_in_full_before_the_first_write(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "_ROW_BLOCK_ENTRIES", 2 * 3)
+        p0 = np.arange(15.0).reshape(5, 3)
+        state = ModelState({"S": p0.copy()}, {"S": np.zeros((5, 3))}, {"S": np.zeros((5, 3))})
+        g = np.ones((5, 3))
+        g[4, 2] = np.inf
+        with pytest.raises(TrainingError, match="S"):
+            adam_step(state, {"S": g}, lr=0.1)
+        assert np.array_equal(state.params["S"], p0)
+        assert not state.first_moment["S"].any() and not state.second_moment["S"].any()
+
+    def test_peak_memory_stays_under_one_node_by_node_array(self):
+        # m=800: the S1 and S2 updates run in row blocks, so the step never
+        # holds an m x m temporary (4.88 MiB); the whole-array update peaked
+        # at 14.7 MiB
+        m = 800
+        rng = np.random.default_rng(12)
+        state = init_model(3, m, 30, 64, 4, rng)
+        grads = {name: rng.normal(size=p.shape) for name, p in state.params.items()}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            adam_step(state, grads, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
 
 
 class TestEvaluate:

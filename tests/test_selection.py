@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvgcn import autodiff as ad
-from mvgcn import selection
+from mvgcn import graphs, selection
 from mvgcn.autodiff import Tape
+from mvgcn.data import make_synthetic
 from mvgcn.errors import DomainError, ParameterError, ShapeError
+from mvgcn.experiment import prepare_graphs
+from mvgcn.fusion import edge_support
+from mvgcn.graphs import EdgeSupport
 from mvgcn.selection import (
     column_mean_nonzero,
     confidence_coefficients,
     dcg_confidence,
     differentiable_node_selection,
     hard_topk_baseline,
+    hard_topk_edges,
     normalize_confidence,
     pairwise_difference,
     relaxed_permutation,
@@ -35,6 +41,13 @@ finite_scores = st.lists(
 
 def arr(value):
     return np.asarray(value, dtype=float)
+
+
+def set_block_rows(monkeypatch, rows, m):
+    """Sweep the m-wide arrays of the selection op in blocks of ``rows``
+    rows; None keeps the default block size."""
+    if rows is not None:
+        monkeypatch.setattr(graphs, "_ROW_BLOCK_ENTRIES", rows * m)
 
 
 def edge_means(A):
@@ -300,9 +313,11 @@ class TestPipeline:
         assert np.count_nonzero(out) <= np.count_nonzero(A)
         assert res.permutation.sum(axis=1) == pytest.approx(np.ones(7), abs=1e-9)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("block_rows", [None, 2, 3])
+    def test_gradients_match_finite_differences(self, block_rows, monkeypatch):
         rng = np.random.default_rng(11)
         m = 5
+        set_block_rows(monkeypatch, block_rows, m)
         A = self._refined(rng, m)
         raw_theta = np.full((1, 1), -0.2)
         support, F = on_support(A)
@@ -376,9 +391,13 @@ class TestSelectionOp:
                 found.append((A, raw_theta, tau, rng.normal(size=(m, m))))
         return found
 
+    # the instances have 4 and 6 nodes: 3-row blocks leave a ragged last
+    # block at 4 nodes, 4-row blocks at 6
+    @pytest.mark.parametrize("block_rows", [None, 3, 4])
     @pytest.mark.parametrize("case", range(4))
-    def test_gradients_match_finite_differences(self, case):
+    def test_gradients_match_finite_differences(self, case, block_rows, monkeypatch):
         A, raw_theta, tau, R = self._smooth_instances(4)[case]
+        set_block_rows(monkeypatch, block_rows, A.shape[0])
         support, F = on_support(A)
         R = support.gather(R)
 
@@ -392,6 +411,29 @@ class TestSelectionOp:
     def test_full_support_matches_the_dense_reference(self, case):
         A, raw_theta, tau, R = self._smooth_instances(4)[case]
         assert_matches_reference(*run_both(A, raw_theta, tau, R))
+
+    def test_peak_memory_stays_under_one_node_by_node_array(self):
+        # m=800: one forward and backward pass runs P, 2^P and their
+        # gradients in row blocks and holds no m x m array (4.88 MiB); the
+        # whole-array pass peaked 20.9 MiB above its entry
+        dataset = make_synthetic(m=800, num_views=3, classes=4, noise=0.5, seed=7)
+        support = edge_support(prepare_graphs(dataset, 10, "euclidean"))
+        m = support.num_nodes
+        R = np.random.default_rng(28).normal(size=(1, support.nnz))
+        tape = Tape()
+        adj, raw_theta = tape.leaf(sum(support.views)), tape.leaf(np.full((1, 1), -0.3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = differentiable_node_selection(adj, raw_theta, 0.5, support)
+            tape.backward(ad.masked_sum(res.selected, R))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the gate acted, so the backward rule took the gain's gradient
+        assert res.selected.value.tobytes() != adj.value.tobytes()
+        assert np.ptp(res.confidence) > 0.0
+        assert peak < m * m * 8
 
     def test_records_one_tape_node(self):
         support, F = on_support(np.random.default_rng(22).uniform(0.2, 1.0, size=(6, 6)))
@@ -437,10 +479,12 @@ class TestSelectionOp:
         assert np.array_equal(adj.grad, support.gather(R))
         assert abs(raw_theta.grad[0, 0]) <= 1e-12
 
+    @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("case", [(70, 40, 0.04, False), (71, 40, 0.05, True), (72, 30, 0.2, True)])
-    def test_sparse_supports_match_the_dense_reference(self, case):
+    def test_sparse_supports_match_the_dense_reference(self, case, block_rows, monkeypatch):
         # the refinement tests' SPARSE_CASES, asymmetric values included
         seed, m, pair_density, asymmetric = case
+        set_block_rows(monkeypatch, block_rows, m)
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.uniform(size=(m, m)) < pair_density, 1)
         pattern = upper | upper.T | np.eye(m, dtype=bool)
@@ -562,14 +606,35 @@ class TestHardTopK:
             want = np.array(oracles.topk_rows(rows, k))
             assert hard_topk_baseline(A, k).tobytes() == want.tobytes(), k
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_rows_match_the_dense_routine_bit_for_bit(self, seed):
+        # values 0, 1 and 2: ties everywhere, zero edges, rows with fewer
+        # than k nonzero edges and rows with fewer than k edges
+        rng = np.random.default_rng(seed)
+        m = 30
+        upper = np.triu(rng.uniform(size=(m, m)) < 0.2, 1)
+        support = EdgeSupport.of([upper | upper.T | np.eye(m, dtype=bool)])
+        edges = rng.integers(0, 3, size=(1, support.nnz)).astype(float)
+        edges[0, rng.uniform(size=support.nnz) < 0.3] = 0.0
+        for k in (1, 2, 5, 10, m):
+            want = hard_topk_baseline(support.densify(edges), k)
+            assert support.densify(hard_topk_edges(edges, k, support)).tobytes() == want.tobytes(), k
+
     def test_k_out_of_range(self):
         A = np.zeros((3, 3))
+        support, F = on_support(np.ones((3, 3)))
         for bad in (0, 4):
             with pytest.raises(ParameterError):
                 hard_topk_baseline(A, bad)
+            with pytest.raises(ParameterError):
+                hard_topk_edges(F, bad, support)
 
     def test_nan_entries_rejected(self):
         A = np.eye(3)
         A[1, 2] = np.nan
         with pytest.raises(DomainError):
             hard_topk_baseline(A, 2)
+        support, F = on_support(np.ones((3, 3)))
+        F[0, 4] = np.nan
+        with pytest.raises(DomainError):
+            hard_topk_edges(F, 2, support)
