@@ -258,17 +258,23 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softmax_rows_array(x: np.ndarray) -> np.ndarray:
+def _softmax_rows_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax of ``x``, written to ``out`` if given (which may be ``x``)."""
     # Per-row max subtraction keeps exp arguments non-positive.
-    e = x - x.max(axis=1, keepdims=True)
+    e = np.subtract(x, x.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
 
 
-def _softmax_rows_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the input of a row softmax with output ``s``, given ``g`` at its output."""
-    return s * (g - (g * s).sum(axis=1, keepdims=True))
+def _softmax_rows_grad(s: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient at the input of a row softmax with output ``s``, given ``g``
+    at its output: s * (g - rowsum(g * s)), written to ``out`` if given
+    (which must not be ``g``)."""
+    out = np.multiply(g, s, out=out)
+    np.subtract(g, out.sum(axis=1, keepdims=True), out=out)
+    out *= s
+    return out
 
 
 def softmax_rows(a: Node) -> Node:

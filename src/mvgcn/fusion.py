@@ -6,7 +6,7 @@ complementary graphs by per-view importance alpha (normalized column sums of
 W). That average is linear in the views, so the tape records it as a single
 weighted sum, fused = sum_i c_i * A_i with coefficients c = alpha @ W; the
 gradient reaches the raw mixing weights through c. The complementary graphs
-themselves are computed as plain values, for inspection only.
+themselves are never formed (the tests' ``dense_reference`` builds them).
 
 The fused adjacency is a 1 x nnz row of edge values on the views'
 ``EdgeSupport`` (``edge_support``), the union of their nonzero entries:
@@ -58,16 +58,6 @@ def edge_support(views: list[Graph]) -> EdgeSupport:
     view's values on it."""
     _check_views(views)
     return EdgeSupport.of([g.adjacency for g in views])
-
-
-def complementary_graphs(views: list[Graph], W: Node) -> list[np.ndarray]:
-    """One weighted-sum graph per view, out[v] = sum_i W[v, i] * A_i, as
-    plain m x m arrays (off the tape)."""
-    _check_views(views)
-    _check_weights(W, len(views))
-    return [
-        sum(w * g.adjacency for w, g in zip(row, views)) for row in W.value
-    ]
 
 
 def view_importance(W: Node) -> Node:

@@ -11,8 +11,13 @@ symmetric input) is exactly symmetric.
 The fused adjacency is a 1 x nnz row of edge values on an ``EdgeSupport``
 (see ``fusion``), and so is the refined one: the gate only scales entries,
 so it is zero wherever the fused graph is. The score and the mask are
-computed at the edges only, from the dense product P gathered there and at
-the twin edges; each edge gets the bits an m x m computation would give it.
+computed at the edges only, from the product P gathered there and at the
+twin edges. P is taken in the row runs of ``graphs._row_runs``, one
+S1[rows] S2^T product per run, the second run in the worker thread
+(``graphs._in_row_runs``); each run gathers its own rows' edges, and no
+run's product outlives it. A run's product has the bits of the same rows of
+the whole product at m=400 and m=800, and within a few ulps elsewhere (a
+BLAS kernel may sum a row differently in a product with other rows).
 
 ``refine_graph`` records the stage as one tape node, ``refine``, whose
 parents are the fused edge values, S1 and S2, with a hand-derived backward
@@ -21,7 +26,10 @@ at P is dP = D - D^T, because P enters the score once as itself and once
 transposed with a minus sign; dP is therefore exactly antisymmetric. D has
 the fused adjacency as a factor, so dP lives on the support: the rule reads
 D^T at the twin edges and takes S1's gradient dP S2 and S2's gradient
-(S1^T dP)^T = dP^T S1 = -(dP S1) as CSR x dense products. The fused graph
+(S1^T dP)^T = dP^T S1 = -(dP S1) as CSR x dense products, each run
+multiplying the CSR of its own rows of dP into its own rows of the two
+gradients; a product row depends on that row of dP only, so the gradients
+do not depend on the runs. The fused graph
 gets g * mask on its edges. Its gradient is taken on its sparsity pattern,
 a constant of the forward values like the nonzero counts in node
 selection; the views are zero off the support, so the fusion weights get
@@ -32,7 +40,7 @@ import numpy as np
 
 from .autodiff import Node, _accumulate, _same_tape
 from .errors import ParameterError, ShapeError
-from .graphs import EdgeSupport
+from .graphs import EdgeSupport, _csr_matmul, _in_row_runs, _row_runs, _span
 
 
 def init_glm_params(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +97,22 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float, support: EdgeSup
     for name, p in (("S1", S1), ("S2", S2)):
         if p.value.shape != (m, m):
             raise ShapeError(f"{name} shape {p.value.shape} does not match {m} nodes")
-    # S2 S1^T is (S1 S2^T)^T: one product gives the score, exactly antisymmetric
-    P = S1.value @ S2.value.T
-    P = P.take(support.flat)
+    runs = _row_runs(m, m)
+    # S2 S1^T is (S1 S2^T)^T: P gives the score, exactly antisymmetric
+    P = np.empty(support.nnz)
+
+    def gather_products(item):
+        rows, products = item
+        edges = support.edge_range(rows)
+        np.matmul(S1.value[rows], S2.value.T, out=products)
+        products.take(support.flat[edges] - rows.start * m, out=P[edges])
+
+    # each run's product is allocated here rather than in the worker, and
+    # dropped when the runs end
+    _in_row_runs(
+        gather_products,
+        [(rows, np.empty((rows.stop - rows.start, m))) for rows in map(_span, runs)],
+    )
     score = P - P[support.twin]
     del P
     mask = _shrinkage_mask(score, gamma)
@@ -100,11 +121,20 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float, support: EdgeSup
     def _bw(g):
         _accumulate(fused, g * mask, owned=True)
         D = _score_gradient(g[0], fused.value[0], mask, score, gamma)
-        dP = support.csr(D - D[support.twin])
-        _accumulate(S1, dP @ S2.value, owned=True)
-        # dP is antisymmetric, so (S1^T dP)^T = dP^T S1 = -(dP S1)
-        S2_term = dP @ S1.value
-        np.negative(S2_term, out=S2_term)
+        dP = D - D[support.twin]
+        del D
+        S1_term, S2_term = np.empty((m, m)), np.empty((m, m))
+
+        def row_products(run):
+            rows = _span(run)
+            dP_rows = support.csr(dP, rows)
+            _csr_matmul(dP_rows, S2.value, S1_term[rows])
+            # dP is antisymmetric, so (S1^T dP)^T = dP^T S1 = -(dP S1)
+            S2_rows = _csr_matmul(dP_rows, S1.value, S2_term[rows])
+            np.negative(S2_rows, out=S2_rows)
+
+        _in_row_runs(row_products, runs)
+        _accumulate(S1, S1_term, owned=True)
         _accumulate(S2, S2_term, owned=True)
 
     out._backward = _bw

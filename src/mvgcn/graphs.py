@@ -11,14 +11,27 @@ Fusion, refinement and node selection only ever scale entries where some
 view is nonzero, so the graphs they produce are carried as edge values on
 one ``EdgeSupport``: a 1 x nnz row holding the value of each edge, with
 every entry off the support zero.
+
+Refinement, node selection and the Adam update sweep m x m arrays in
+blocks of rows (``_row_blocks``). ``_row_runs`` cuts the blocks into at
+most two runs of consecutive blocks, at the block boundary nearest the
+middle, and ``_in_row_runs`` runs the first in the calling thread and the
+second in one worker thread when the process may use more than one CPU
+(otherwise both in turn in the calling thread). The cut depends on the
+array's shape only, and each run writes only its own rows and returns its
+own results, which the caller combines in a fixed order, so the bits never
+depend on the worker. The worker runs only the package's private helpers
+and numpy or scipy calls, and a forked child starts its own on first use.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import _sparsetools, csr_array
 from scipy.spatial.distance import cdist
 
 from .errors import DomainError, ParameterError, ShapeError
@@ -33,6 +46,9 @@ _SDDMM_BLOCK_ENTRIES = 1 << 15
 # Entries per block of rows when node selection and the Adam update sweep an
 # array a block of rows at a time, so that no temporary as large as the whole
 # array is allocated: m=200 fits in one block, m=800 runs in 81-row blocks.
+# The blocks also set the runs of refinement, node selection and the Adam
+# update (``_row_runs``): m=200 makes one run, m=400 two cut at row 163, m=800
+# two cut at row 405.
 _ROW_BLOCK_ENTRIES = 1 << 16
 
 
@@ -41,6 +57,90 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     each holding at most ``_ROW_BLOCK_ENTRIES`` entries but at least one row."""
     step = max(1, _ROW_BLOCK_ENTRIES // max(cols, 1))
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _row_runs(rows: int, cols: int) -> list[list[slice]]:
+    """The ``_row_blocks`` of a ``rows`` x ``cols`` array as at most two
+    runs of consecutive blocks, cut at the block boundary nearest the
+    middle (the lower of two equally near). No run holds a single row: a
+    one-row matrix product takes other bits than the same row of a larger
+    one, so a cut that would leave one is not made."""
+    blocks = _row_blocks(rows, cols)
+    cuts = [i for i in range(1, len(blocks)) if 2 <= blocks[i].start <= rows - 2]
+    if not cuts:
+        return [blocks]
+    cut = min(cuts, key=lambda i: abs(2 * blocks[i].start - rows))
+    return [blocks[:cut], blocks[cut:]]
+
+
+def _span(run: list[slice]) -> slice:
+    """The rows a run of consecutive row blocks covers."""
+    return slice(run[0].start, run[-1].stop)
+
+
+def _csr_matmul(A: csr_array, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ B`` for a CSR matrix and a dense one, written to ``out``, which
+    must be C-ordered, so that a worker thread need not allocate it. It
+    calls the kernel behind ``csr_array @ ndarray`` the same way, so the
+    bits are that product's."""
+    if not out.flags.c_contiguous:
+        raise ValueError("the output of a CSR product must be C-ordered")
+    out[...] = 0.0
+    n_rows, n_cols = A.shape
+    _sparsetools.csr_matvecs(
+        n_rows, n_cols, B.shape[1], A.indptr, A.indices, A.data,
+        np.ascontiguousarray(B).ravel(), out.ravel(),
+    )  # fmt: skip
+    return out
+
+
+def _with_scratch(runs: list[list[slice]], cols: int, count: int) -> list:
+    """Each run paired with ``count`` arrays as large as its first (and
+    largest) block, ``cols`` wide, to work in: allocated here, in the
+    calling thread, so the worker thread's own heap stays small."""
+    return [
+        (run, [np.empty((run[0].stop - run[0].start, cols)) for _ in range(count)])
+        for run in runs
+    ]
+
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _forget_worker() -> None:
+    # a forked child inherits the executor but not its thread
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _use_worker() -> bool:
+    """Whether the process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _in_row_runs(fn, runs: list) -> list:
+    """``[fn(run) for run in runs]`` for at most two runs: the first in the
+    calling thread and the second in the worker thread when ``_use_worker``
+    allows, else both here in turn. An exception of either run is raised
+    here once both have ended."""
+    global _worker
+    if len(runs) < 2 or not _use_worker():
+        return [fn(run) for run in runs]
+    if _worker is None:
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mvgcn-rows")
+    second = _worker.submit(fn, runs[1])
+    try:
+        first = fn(runs[0])
+    except BaseException:
+        second.exception()
+        raise
+    return [first, second.result()]
 
 
 @dataclass
@@ -115,10 +215,22 @@ class EdgeSupport:
         np.put(out, self.flat, edges)
         return out
 
-    def csr(self, edges: np.ndarray) -> csr_array:
-        """Edge values as a sparse m x m matrix, without a sort or a copy of the structure."""
+    def edge_range(self, rows: slice) -> slice:
+        """The edges of a run of consecutive rows, as a slice of the edge order."""
+        return slice(self.indptr[rows.start], self.indptr[rows.stop])
+
+    def csr(self, edges: np.ndarray, rows: slice | None = None) -> csr_array:
+        """Edge values as a sparse m x m matrix, without a sort or a copy of
+        the values and columns; with ``rows``, a run of consecutive rows of
+        it, built from those rows' edges only."""
         m = self.num_nodes
-        return csr_array((np.ravel(edges), self.cols, self.indptr), shape=(m, m))
+        rows = slice(0, m) if rows is None else rows
+        edge_range = self.edge_range(rows)
+        indptr = self.indptr[rows.start : rows.stop + 1] - edge_range.start
+        return csr_array(
+            (np.ravel(edges)[edge_range], self.cols[edge_range], indptr),
+            shape=(rows.stop - rows.start, m),
+        )
 
     def sddmm(self, G: np.ndarray, B: np.ndarray) -> np.ndarray:
         """(G @ B.T) sampled at the edges, as a 1 x nnz row: edge (r, c)

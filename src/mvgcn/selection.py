@@ -26,14 +26,19 @@ max(ibar_max - theta, 0), read off the m confidences.
 The stage functions take and return plain arrays.
 ``differentiable_node_selection`` chains them and records the whole pipeline,
 from the adjacency and the raw threshold to the selected adjacency, as one
-tape node with a hand-derived backward rule. It runs the relaxed
-permutation P, 2^P and the gain over blocks of rows
+tape node with a hand-derived backward rule. It runs the gap sums, the
+relaxed permutation P, 2^P and the gain over blocks of rows
 (``graphs._ROW_BLOCK_ENTRIES``), so it holds no m x m array: each step is
-row-local and gives the bits of the m x m formulas. Between the passes it
-keeps the m gap sums, the last block of P and 2^P, and the gate's scale on
-the edges; the backward rule recomputes the other blocks of P from the
-scores, last block first, so an m that fits in one block recomputes
-nothing. The returned ``SelectionResult`` builds the m x m permutation and
+row-local and gives the bits of the m x m formulas. The blocks make at most
+two runs (``graphs._row_runs``), the second in the worker thread
+(``graphs._in_row_runs``); each run works in its own block-sized scratch
+arrays and writes only its own rows. Between the passes the op keeps the m
+gap sums, the last block of P and the gate's scale on the edges; the
+backward rule recomputes the other blocks of P from the scores, so an m
+that fits in one block recomputes only 2^P. Each block gives its
+rank-weighted and plain column sums of the logits' gradient, and these are
+added across the blocks in one fixed order, last block first, whichever run
+made them. The returned ``SelectionResult`` builds the m x m permutation and
 edge coefficients only when asked for them. The hard top-k variant at the
 bottom ranks the edges within each CSR row; its m x m counterpart,
 ``hard_topk_baseline``, is kept as the reference.
@@ -52,7 +57,7 @@ from .autodiff import (
     _softmax_rows_grad,
 )
 from .errors import DomainError, ParameterError, ShapeError
-from .graphs import EdgeSupport, _row_blocks, _smallest_k_mask
+from .graphs import EdgeSupport, _in_row_runs, _row_runs, _smallest_k_mask, _with_scratch
 
 _LOG2 = float(np.log(2.0))
 
@@ -93,22 +98,32 @@ def _ranks(m: int) -> np.ndarray:
 
 
 def _gap_sums(a: np.ndarray) -> np.ndarray:
-    """sum_j |a[i] - a[j]| for every i, a block of rows at a time; each sum
-    has the bits of ``pairwise_difference(a).sum(axis=1)``."""
+    """sum_j |a[i] - a[j]| for every i, a block of rows at a time in the
+    row runs; each sum has the bits of ``pairwise_difference(a).sum(axis=1)``."""
     out = np.empty(a.size)
-    for rows in _row_blocks(a.size, a.size):
-        out[rows] = np.abs(a[rows, None] - a).sum(axis=1)
+
+    def run_sums(item):
+        run, (scratch,) = item
+        for rows in run:
+            gaps = np.subtract(a[rows, None], a, out=scratch[: rows.stop - rows.start])
+            np.abs(gaps, out=gaps)
+            out[rows] = gaps.sum(axis=1)
+
+    _in_row_runs(run_sums, _with_scratch(_row_runs(a.size, a.size), a.size, 1))
     return out
 
 
-def _permutation_rows(a_s: np.ndarray, gap_sums: np.ndarray, tau: float, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of ``relaxed_permutation``, from the scores and their gap sums."""
+def _permutation_rows(
+    a_s: np.ndarray, gap_sums: np.ndarray, tau: float, rows: slice, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows ``rows`` of ``relaxed_permutation``, from the scores and their
+    gap sums, written to ``out`` if given."""
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    logits = _ranks(a_s.shape[1])[rows] * a_s
+    logits = np.multiply(_ranks(a_s.shape[1])[rows], a_s, out=out)
     logits -= gap_sums
     logits *= 1.0 / tau
-    return _softmax_rows_array(logits)
+    return _softmax_rows_array(logits, out=logits)
 
 
 def relaxed_permutation(a_s: np.ndarray, tau: float) -> np.ndarray:
@@ -126,9 +141,12 @@ def _discounts(m: int) -> np.ndarray:
     return 1.0 / np.log2(np.arange(2, m + 2, dtype=float))
 
 
-def _discounted_gain(exp2_P: np.ndarray) -> np.ndarray:
-    # one gain per row of 2^P, also for a block of its rows, as a 1 x rows row
-    return ((exp2_P - 1.0) * _discounts(exp2_P.shape[1])).sum(axis=1).reshape(1, -1)
+def _discounted_gain(exp2_P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # one gain per row of 2^P, also for a block of its rows, as a 1 x rows
+    # row; the terms are written to ``out`` if given (which may be exp2_P)
+    terms = np.subtract(exp2_P, 1.0, out=out)
+    terms *= _discounts(exp2_P.shape[1])
+    return terms.sum(axis=1).reshape(1, -1)
 
 
 def dcg_confidence(P: np.ndarray) -> np.ndarray:
@@ -260,13 +278,21 @@ def differentiable_node_selection(
     m = support.num_nodes
     a_s, inverse_counts = _column_means(A, support)
     gap_sums = _gap_sums(a_s[0])
-    blocks = _row_blocks(m, m)
+    runs = _row_runs(m, m)
+    last = runs[-1][-1]
     raw = np.empty((1, m))
-    for rows in blocks:
-        P = _permutation_rows(a_s, gap_sums, tau, rows)
-        exp2_P = np.exp2(P)
-        raw[:, rows] = _discounted_gain(exp2_P)
-    # P and 2^P now hold the last block, which the backward rule starts from
+
+    def run_gains(item):
+        run, (P_scratch, scratch) = item
+        for rows in run:
+            n = rows.stop - rows.start
+            P_rows = _permutation_rows(a_s, gap_sums, tau, rows, out=P_scratch[:n])
+            exp2_P = np.exp2(P_rows, out=scratch[:n])
+            raw[:, rows] = _discounted_gain(exp2_P, out=exp2_P)
+        return P_rows
+
+    # the last block of P, which the backward rule starts from
+    P = _in_row_runs(run_gains, _with_scratch(runs, m, 2))[-1]
     ibar = normalize_confidence(raw)
     selected, scale, theta, peak = _gate_edges(A, ibar, raw_theta.value, support)
     out = Node(selected, (adj, raw_theta), "select", tape)
@@ -277,12 +303,12 @@ def differentiable_node_selection(
             _accumulate(raw_theta, np.zeros((1, 1)), owned=True)
             return
         # selected = A * scale, scale = gated / peak, gated = relu(C - theta)
-        d_scale = g[0] * A[0]
-        d_gated = d_scale / peak
+        d_gated = g[0] * A[0]  # the gradient at the scale until divided
         # the peak's own term goes to its position, which may lie off the
         # support; there d_gated is otherwise 0 and the scale is 1, so the
         # term enters that row's and that column's sums and the total as is
-        peak_term = np.vdot(d_scale, scale) / peak
+        peak_term = np.vdot(d_gated, scale) / peak
+        d_gated /= peak
         i, j = _peak_position(ibar[0], theta, peak)
         e = int(np.searchsorted(support.flat, i * m + j))
         on_support = e < support.nnz and support.flat[e] == i * m + j
@@ -292,46 +318,53 @@ def differentiable_node_selection(
         off_support = 0.0 if on_support else peak_term
         d_theta = -(d_gated.sum() - off_support) * theta * (1.0 - theta)
         _accumulate(raw_theta, np.array([[d_theta]]), owned=True)
-        grad_adj = g * scale
         spread = raw.max() - raw.min()
-        if spread != 0.0:
-            row_sums = np.bincount(support.rows, weights=d_gated, minlength=m)
-            col_sums = np.bincount(support.cols, weights=d_gated, minlength=m)
-            row_sums[i] -= off_support
-            col_sums[j] -= off_support
-            # C = (ibar_i + ibar_j) / 2, ibar = (raw - lo) / (hi - lo)
-            d_ibar = 0.5 * (row_sums + col_sums)
-            d_raw = d_ibar / spread
-            d_spread = -np.dot(d_ibar, ibar[0]) / spread
-            d_low = -d_raw.sum() - d_spread
-            d_raw[np.argmax(raw)] += d_spread
-            d_raw[np.argmin(raw)] += d_low
-            # raw_i = sum_j (2^P_ij - 1) d_j, P = softmax(logits), and
-            # logits_ij = (rank_i a_j - gap_sum_j) / tau; the rank-weighted
-            # and the plain column sums of d_logits add across the blocks
-            ranks = _ranks(m)[:, 0]
-            weights = _discounts(m) * _LOG2
+        if spread == 0.0:
+            _accumulate(adj, g * scale, owned=True)
+            return
+        row_sums = np.bincount(support.rows, weights=d_gated, minlength=m)
+        col_sums = np.bincount(support.cols, weights=d_gated, minlength=m)
+        del d_gated
+        row_sums[i] -= off_support
+        col_sums[j] -= off_support
+        # C = (ibar_i + ibar_j) / 2, ibar = (raw - lo) / (hi - lo)
+        d_ibar = 0.5 * (row_sums + col_sums)
+        d_raw = d_ibar / spread
+        d_spread = -np.dot(d_ibar, ibar[0]) / spread
+        d_low = -d_raw.sum() - d_spread
+        d_raw[np.argmax(raw)] += d_spread
+        d_raw[np.argmin(raw)] += d_low
+        # raw_i = sum_j (2^P_ij - 1) d_j, P = softmax(logits), and
+        # logits_ij = (rank_i a_j - gap_sum_j) / tau; the rank-weighted
+        # and the plain column sums of d_logits add across the blocks
+        ranks = _ranks(m)[:, 0]
+        weights = _discounts(m) * _LOG2
 
-            def block_sums(rows):
-                if rows == blocks[-1]:
+        def run_sums(item):
+            run, (P_scratch, d_P, scratch) = item
+            sums = []
+            for rows in run:
+                n = rows.stop - rows.start
+                if rows == last:
                     # the forward's block, kept intact for another sweep
-                    P_rows, d_P = P, np.outer(d_raw[rows], weights)
-                    d_P *= exp2_P
+                    P_rows = P
                 else:
-                    P_rows = _permutation_rows(a_s, gap_sums, tau, rows)
-                    d_P = np.exp2(P_rows)  # scaled in place
-                    d_P *= np.outer(d_raw[rows], weights)
-                d_logits = _softmax_rows_grad(P_rows, d_P)
-                return ranks[rows] @ d_logits, d_logits.sum(axis=0)
+                    P_rows = _permutation_rows(a_s, gap_sums, tau, rows, out=P_scratch[:n])
+                d_P_rows = np.outer(d_raw[rows], weights, out=d_P[:n])
+                d_P_rows *= np.exp2(P_rows, out=scratch[:n])
+                d_logits = _softmax_rows_grad(P_rows, d_P_rows, out=scratch[:n])
+                sums.append((ranks[rows] @ d_logits, d_logits.sum(axis=0)))
+            return sums
 
-            d_scores, d_gaps = block_sums(blocks[-1])
-            for rows in reversed(blocks[:-1]):
-                rank_sums, sums = block_sums(rows)
-                d_scores += rank_sums
-                d_gaps += sums
-            d_scores += _gap_sum_grad(a_s[0], -d_gaps)
-            d_scores /= tau
-            grad_adj += (d_scores * inverse_counts[0])[support.cols]
+        per_run = _in_row_runs(run_sums, _with_scratch(runs, m, 3))
+        *block_sums, (d_scores, d_gaps) = [b for sums in per_run for b in sums]
+        for rank_sums, sums in reversed(block_sums):
+            d_scores += rank_sums
+            d_gaps += sums
+        d_scores += _gap_sum_grad(a_s[0], -d_gaps)
+        d_scores /= tau
+        grad_adj = g * scale
+        grad_adj += (d_scores * inverse_counts[0])[support.cols]
         _accumulate(adj, grad_adj, owned=True)
 
     out._backward = _bw

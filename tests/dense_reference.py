@@ -3,13 +3,15 @@ m x m entries, the reference for the package's edge layout. Each stage is a
 tape op with its hand-derived backward rule, so tests can hold the edge
 layout to these values bit for bit and to these gradients within rounding.
 
-``dense_forward`` chains them as ``model.forward`` does.
+``dense_forward`` chains them as ``model.forward`` does, and
+``complementary_graphs`` forms the per-view graphs that fusion averages.
 """
 
 import numpy as np
 
 from mvgcn import autodiff as ad
 from mvgcn.autodiff import Node, _accumulate, _same_tape, _sigmoid_array, _softmax_rows_grad
+from mvgcn.fusion import _check_views, _check_weights
 from mvgcn.graph_learning import _score_gradient, _shrinkage_mask
 from mvgcn.graphs import EdgeSupport
 from mvgcn.selection import (
@@ -28,6 +30,14 @@ def on_support(*matrices):
     """The edge support of some m x m matrices and each one's edge values."""
     support = EdgeSupport.of(matrices)
     return (support,) + support.views
+
+
+def complementary_graphs(views, W: Node) -> list[np.ndarray]:
+    """One weighted-sum graph per view, out[v] = sum_i W[v, i] * A_i, as
+    plain m x m arrays, from renormalized ``Graph`` views."""
+    _check_views(views)
+    _check_weights(W, len(views))
+    return [sum(w * g.adjacency for w, g in zip(row, views)) for row in W.value]
 
 
 def fuse(views, raw):

@@ -19,7 +19,7 @@ from mvgcn.cli import write_json
 from mvgcn.config import RunConfig, config_to_dict
 from mvgcn.data import load_dataset, make_synthetic
 from mvgcn.experiment import prepare_graphs, run_ablation, run_repeats, run_single
-from mvgcn.fusion import complementary_graphs, edge_support, fuse_views
+from mvgcn.fusion import edge_support, fuse_views
 from mvgcn.graph_learning import refine_graph
 from mvgcn.graphs import EdgeSupport, build_knn_graph, renormalize
 from mvgcn.model import (
@@ -36,6 +36,7 @@ from mvgcn.selection import (
 )
 
 import oracles
+from dense_reference import complementary_graphs
 from gradcheck import finite_difference_check
 from kinkfree import smoothness_margin
 

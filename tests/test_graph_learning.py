@@ -306,22 +306,36 @@ class TestSupportLayout:
         for got, ref in ((g1, want1), (g2, want2)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    # block_rows: the default blocks (one run at these sizes), or 7-row
+    # blocks, which make two runs, each building the CSR of its own rows
+    @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("case", SPARSE_CASES)
     def test_score_gradient_on_the_support_is_the_dense_one_bit_for_bit(
-        self, case, monkeypatch
+        self, case, block_rows, monkeypatch
     ):
         F, S1, S2, gamma, G = self.case(*case)
+        m = F.shape[0]
+        if block_rows is not None:
+            monkeypatch.setattr(graphs, "_ROW_BLOCK_ENTRIES", block_rows * m)
         seen, csr_array = [], graphs.csr_array
 
         def spy(arg, shape):
-            seen.append(arg)
+            seen.append((arg, shape))
             return csr_array(arg, shape=shape)
 
         monkeypatch.setattr(graphs, "csr_array", spy)
         run_refine(F, S1, S2, gamma, G)
-        ((dP, cols, indptr),) = seen
-        rows = np.repeat(np.arange(F.shape[0]), np.diff(indptr))
-        P = S1 @ S2.T
+        runs = graphs._row_runs(m, m)
+        assert len(seen) == len(runs) == (1 if block_rows is None else 2)
+        assert [shape for _, shape in seen] == [
+            (graphs._span(run).stop - graphs._span(run).start, m) for run in runs
+        ]
+        dP, cols, indptr = (np.concatenate(part) for part in zip(*(arg for arg, _ in seen)))
+        rows = np.repeat(np.arange(m), np.concatenate([np.diff(p) for (_, _, p), _ in seen]))
+        # the op takes P a run of rows at a time, which may round otherwise
+        # than the whole product (``test_row_runs``); the rule after it is
+        # held to the dense formula on the same P
+        P = np.concatenate([S1[graphs._span(run)] @ S2.T for run in runs])
         score = P - P.T
         mask = 1.0 / (1.0 + np.exp(-(np.abs(score) * gamma)))
         D = G * F * mask * (1.0 - mask) * gamma * np.sign(score)
