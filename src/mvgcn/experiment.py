@@ -15,7 +15,7 @@ import numpy as np
 from .config import RunConfig, validate_config
 from .data import MultiViewDataset, SplitSpec, make_split, standardize_columns
 from .errors import ParameterError
-from .graphs import Graph, build_knn_graph, renormalize
+from .graphs import Graph, _share_cpus, build_knn_graph, renormalize
 from .model import TrainResult, train
 
 
@@ -189,6 +189,8 @@ def run_sweep(
     ]
     points = [(dataset, variant, field) for variant in variants]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the children keep the CPUs busy between them, so none starts a
+        # row-run worker of its own
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(p) for p in points]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .autodiff import Node, _accumulate, _same_tape
 from .errors import ParameterError, ShapeError
-from .graphs import EdgeSupport, _csr_matmul, _in_row_runs, _row_runs, _span
+from .graphs import EdgeSupport, _in_row_runs, _row_runs, _span
 
 
 def init_glm_params(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +128,9 @@ def refine_graph(fused: Node, S1: Node, S2: Node, gamma: float, support: EdgeSup
         def row_products(run):
             rows = _span(run)
             dP_rows = support.csr(dP, rows)
-            _csr_matmul(dP_rows, S2.value, S1_term[rows])
+            S1_term[rows] = dP_rows @ S2.value
             # dP is antisymmetric, so (S1^T dP)^T = dP^T S1 = -(dP S1)
-            S2_rows = _csr_matmul(dP_rows, S1.value, S2_term[rows])
-            np.negative(S2_rows, out=S2_rows)
+            np.negative(dP_rows @ S1.value, out=S2_term[rows])
 
         _in_row_runs(row_products, runs)
         _accumulate(S1, S1_term, owned=True)

@@ -16,12 +16,14 @@ Refinement, node selection and the Adam update sweep m x m arrays in
 blocks of rows (``_row_blocks``). ``_row_runs`` cuts the blocks into at
 most two runs of consecutive blocks, at the block boundary nearest the
 middle, and ``_in_row_runs`` runs the first in the calling thread and the
-second in one worker thread when the process may use more than one CPU
-(otherwise both in turn in the calling thread). The cut depends on the
-array's shape only, and each run writes only its own rows and returns its
-own results, which the caller combines in a fixed order, so the bits never
-depend on the worker. The worker runs only the package's private helpers
-and numpy or scipy calls, and a forked child starts its own on first use.
+second in one worker thread when that thread may have a CPU to itself: the
+process may use more than one CPU, its BLAS is set to one thread, and it
+is not a child of a parallel sweep's process pool (otherwise both run in
+turn in the calling thread). The cut depends on the array's shape only,
+and each run writes only its own rows and returns its own results, which
+the caller combines in a fixed order, so the bits never depend on the
+worker. The worker runs only the package's private helpers and numpy or
+scipy calls, and a forked child starts its own on first use.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_array
+from scipy.sparse import csr_array
 from scipy.spatial.distance import cdist
 
 from .errors import DomainError, ParameterError, ShapeError
@@ -78,22 +80,6 @@ def _span(run: list[slice]) -> slice:
     return slice(run[0].start, run[-1].stop)
 
 
-def _csr_matmul(A: csr_array, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A @ B`` for a CSR matrix and a dense one, written to ``out``, which
-    must be C-ordered, so that a worker thread need not allocate it. It
-    calls the kernel behind ``csr_array @ ndarray`` the same way, so the
-    bits are that product's."""
-    if not out.flags.c_contiguous:
-        raise ValueError("the output of a CSR product must be C-ordered")
-    out[...] = 0.0
-    n_rows, n_cols = A.shape
-    _sparsetools.csr_matvecs(
-        n_rows, n_cols, B.shape[1], A.indptr, A.indices, A.data,
-        np.ascontiguousarray(B).ravel(), out.ravel(),
-    )  # fmt: skip
-    return out
-
-
 def _with_scratch(runs: list[list[slice]], cols: int, count: int) -> list:
     """Each run paired with ``count`` arrays as large as its first (and
     largest) block, ``cols`` wide, to work in: allocated here, in the
@@ -104,7 +90,14 @@ def _with_scratch(runs: list[list[slice]], cols: int, count: int) -> list:
     ]
 
 
+# the thread variables of OpenBLAS and MKL, and OpenMP's, which either reads
+# when its own is unset
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
 _worker: ThreadPoolExecutor | None = None
+# False in a parallel sweep's pool child, whose siblings keep the other CPUs
+# busy
+_own_cpus = True
 
 
 def _forget_worker() -> None:
@@ -117,8 +110,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _share_cpus() -> None:
+    """Run both row runs in the calling thread from now on: the initializer
+    of a parallel sweep's pool children, which share the CPUs among them."""
+    global _own_cpus
+    _own_cpus = False
+
+
 def _use_worker() -> bool:
-    """Whether the process may run on more than one CPU."""
+    """Whether the second run may have a CPU to itself: the process may run
+    on more than one CPU, is no pool child (``_share_cpus``), and its BLAS
+    runs one thread: at least one BLAS thread variable is set, and every
+    one that is set reads 1. With none set, OpenBLAS takes every CPU for
+    each product, and two concurrent products made an m=800 epoch 5% slower
+    on two CPUs."""
+    threads = {os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES}
+    if not _own_cpus or threads - {""} != {"1"}:
+        return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1

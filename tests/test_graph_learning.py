@@ -324,6 +324,9 @@ class TestSupportLayout:
             return csr_array(arg, shape=shape)
 
         monkeypatch.setattr(graphs, "csr_array", spy)
+        # both runs in the calling thread, so the spy sees them in run order
+        # (``test_row_runs`` holds the bits to be the worker's too)
+        monkeypatch.setattr(graphs, "_use_worker", lambda: False)
         run_refine(F, S1, S2, gamma, G)
         runs = graphs._row_runs(m, m)
         assert len(seen) == len(runs) == (1 if block_rows is None else 2)

@@ -10,13 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 import mvgcn
 from mvgcn import graphs
 from mvgcn.data import make_synthetic
 from mvgcn.experiment import feature_matrix, prepare_graphs
-from mvgcn.graphs import _csr_matmul, _in_row_runs, _row_blocks, _row_runs, _span
+from mvgcn.graphs import _in_row_runs, _row_blocks, _row_runs, _span
 from mvgcn.model import init_model, predict, save_checkpoint, train
 
 
@@ -73,6 +72,36 @@ class TestInRowRuns:
         seen = _in_row_runs(lambda run: (run, threading.get_ident()), self.RUNS)
         assert seen == [(run, threading.get_ident()) for run in self.RUNS]
 
+    # the BLAS thread variables as (OPENBLAS, MKL, OMP): every one that is
+    # set must read 1, and with none set OpenBLAS takes every CPU
+    @pytest.mark.parametrize(
+        "variables, cpus, want",
+        [
+            (("1", None, None), 2, True),
+            ((None, None, "1"), 2, True),
+            (("1", "1", " 1"), 2, True),
+            (("1", None, None), 1, False),
+            ((None, None, None), 2, False),
+            (("", None, ""), 2, False),
+            (("2", None, None), 2, False),
+            ((None, "1", "4"), 2, False),
+        ],
+    )
+    def test_the_worker_only_with_a_one_thread_blas_and_a_spare_cpu(
+        self, variables, cpus, want, monkeypatch
+    ):
+        for name, value in zip(graphs._BLAS_THREAD_VARIABLES, variables):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert graphs._use_worker() is want
+        monkeypatch.setattr(graphs, "_own_cpus", True)
+        graphs._share_cpus()
+        assert graphs._use_worker() is False
+
     @pytest.mark.parametrize("use_worker", [True, False])
     @pytest.mark.parametrize("failing", [0, 1])
     def test_a_run_that_raises_raises_here_after_both_runs_end(
@@ -108,17 +137,6 @@ class TestProducts:
         by_runs = np.concatenate([S1[_span(run)] @ S2.T for run in runs])
         scale = np.abs(S1) @ np.abs(S2).T
         assert np.all(np.abs(by_runs - whole) <= 4 * np.spacing(scale))
-
-    def test_csr_product_into_rows_has_the_bits_of_the_sparse_product(self):
-        rng = np.random.default_rng(5)
-        A = csr_array(rng.normal(size=(30, 20)) * (rng.uniform(size=(30, 20)) < 0.2))
-        B = rng.normal(size=(20, 7))
-        out = np.full((40, 7), np.nan)
-        _csr_matmul(A, B, out[5:35])
-        assert out[5:35].tobytes() == (A @ B).tobytes()
-        assert np.isnan(out[:5]).all() and np.isnan(out[35:]).all()
-        with pytest.raises(ValueError, match="C-ordered"):
-            _csr_matmul(A, B, np.empty((7, 30)).T)
 
 
 def instance(m):
@@ -177,13 +195,11 @@ print("equal" if parallel == serial else f"differ: {parallel} != {serial}")
 """
 
 
-def test_a_forked_sweep_after_the_worker_started_matches_the_serial_one():
-    # a forked child inherits the parent's executor but not its thread; it
-    # must start a worker of its own rather than wait on one that is gone
+def run_script(script):
     src = str(Path(mvgcn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
-        [sys.executable, "-c", SWEEP_SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -195,6 +211,38 @@ def test_a_forked_sweep_after_the_worker_started_matches_the_serial_one():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("the forked sweep did not finish within 120 s")
+        pytest.fail("the script did not finish within 120 s")
     assert proc.returncode == 0, err
-    assert out.strip() == "equal"
+    return out.strip()
+
+
+def test_a_forked_sweep_after_the_worker_started_matches_the_serial_one():
+    # a forked child inherits the parent's executor but not its thread; it
+    # must start a worker of its own rather than wait on one that is gone
+    assert run_script(SWEEP_SCRIPT) == "equal"
+
+
+SHARED_CPUS_SCRIPT = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+from mvgcn import experiment, graphs
+from mvgcn.config import RunConfig
+from mvgcn.data import make_synthetic
+
+
+def point(args):
+    return graphs._use_worker()
+
+
+experiment._sweep_point = point
+dataset = make_synthetic(m=40, num_views=2, classes=2, noise=0.2, seed=3)
+cfg = RunConfig(k=3, repeats=1)
+print(graphs._use_worker(), experiment.run_sweep(dataset, cfg, "tau", [0.3, 0.7], jobs=2))
+"""
+
+
+def test_a_parallel_sweeps_children_leave_the_worker_alone():
+    # the children keep the CPUs busy between them; a worker in each would
+    # only contend with its siblings
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert run_script(SHARED_CPUS_SCRIPT) == f"{cpus > 1} [False, False]"
