@@ -36,6 +36,8 @@ from .graphs import METRICS, Graph
 from .model import evaluate, load_checkpoint, predict, save_checkpoint
 
 GRAPH_MANIFEST = "manifest.json"
+GRAPH_FORMAT = 2
+EDGE_HEADER = "row,col,value"
 
 
 # ---------------------------------------------------------------------------
@@ -55,21 +57,44 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _edge_list(adjacency: np.ndarray) -> str:
+    """The header, then one ``row,col,value`` line per nonzero entry in
+    row-major order, values as ``%.17g`` so they read back to the same bits.
+    One ``%`` format over the whole view: ``np.savetxt`` makes a Python call
+    per row."""
+    rows, cols = np.nonzero(adjacency)
+    cells = [None] * (3 * len(rows))
+    cells[0::3] = rows.tolist()
+    cells[1::3] = cols.tolist()
+    cells[2::3] = adjacency[rows, cols].tolist()
+    return f"{EDGE_HEADER}\n" + ("%d,%d,%.17g\n" * len(rows)) % tuple(cells)
 
 
 def save_prepared_graphs(out_dir, graphs: list[Graph], k: int, metric: str) -> None:
-    """Renormalized adjacencies as CSV plus a checksummed manifest."""
+    """Each renormalized adjacency as an edge list, plus a checksummed manifest.
+
+    ``view_<v>.csv`` holds the header ``row,col,value`` and one line per
+    nonzero entry of view v, self-loops included, in row-major order; values
+    are written as ``%.17g`` and read back to the same bits. ``manifest.json``
+    (graph format 2) records ``format``, ``k``, ``metric``, ``num_views``,
+    ``nodes`` and the sha256 of each view file. Every file is written
+    atomically, and the manifest last.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {}
     for v, g in enumerate(graphs):
         name = f"view_{v}.csv"
         with atomic_open(out / name, newline="") as fh:
-            np.savetxt(fh, g.adjacency, delimiter=",", fmt="%.17g")
-        files[name] = _sha256(out / name)
+            text = _edge_list(g.adjacency)
+            fh.write(text)
+        files[name] = _sha256(text.encode("utf-8"))
     manifest = {
+        "format": GRAPH_FORMAT,
         "k": k,
         "metric": metric,
         "num_views": len(graphs),
@@ -79,19 +104,30 @@ def save_prepared_graphs(out_dir, graphs: list[Graph], k: int, metric: str) -> N
     write_json(out / GRAPH_MANIFEST, manifest)
 
 
-def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
-    """Manifest-verified load; any checksum mismatch is a refusal."""
-    root = Path(graph_dir)
-    manifest_path = root / GRAPH_MANIFEST
+def _read_graph_manifest(graph_dir, cfg: RunConfig) -> dict:
+    """The manifest of a prepared-graph directory, checked field by field
+    and against the config's k and metric."""
+    manifest_path = Path(graph_dir) / GRAPH_MANIFEST
     if not manifest_path.exists():
         raise DataLoadError(f"no {GRAPH_MANIFEST} in {graph_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataLoadError(f"graph manifest {manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataLoadError(f"graph manifest {manifest_path} is not a JSON object")
-    for key in ("k", "metric", "num_views", "files"):
+    # format 1 (one dense m x m CSV per view) wrote no format field
+    fmt = manifest.get("format", 1)
+    if type(fmt) is not int or fmt != GRAPH_FORMAT:
+        raise DataLoadError(
+            f"unsupported graph manifest format {fmt!r} in {graph_dir}; this version reads "
+            f"format {GRAPH_FORMAT} only (one edge list per view), rerun `mvgcn prepare` "
+            "to write it"
+        )
+    for key in ("k", "metric", "num_views", "nodes", "files"):
         if key not in manifest:
             raise DataLoadError(f"graph manifest is missing field {key!r}")
-    for key in ("k", "num_views"):
+    for key in ("k", "num_views", "nodes"):
         if type(manifest[key]) is not int or manifest[key] < 1:
             raise DataLoadError(
                 f"graph manifest field {key!r} must be a positive integer, got {manifest[key]!r}"
@@ -103,15 +139,96 @@ def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
             f"prepared graphs use k={manifest['k']}, metric={manifest['metric']!r} "
             f"but the config asks for k={cfg.k}, metric={cfg.metric!r}"
         )
+    return manifest
+
+
+def _edge_table(path: Path, body: list[str]) -> np.ndarray:
+    """The edge lines as an n x 3 float array, by numpy's C parser. A line
+    that is not three numbers is named; the parser skips blank lines, so a
+    short table means one."""
+    if not body:
+        raise DataLoadError(f"{path}: line 2: no edges")
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if table.shape == (len(body), 3):
+            return table
+    except ValueError:
+        pass
+    # the lines parse one by one as they do together, so one of them fails
+    for lineno, line in enumerate(body, start=2):
+        width = line.count(",") + 1
+        if width != 3:
+            raise DataLoadError(f"{path}: line {lineno}: expected 3 columns, found {width}")
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            raise DataLoadError(f"{path}: line {lineno}: non-numeric cell") from None
+
+
+def _refuse_first(path: Path, bad: np.ndarray, what) -> None:
+    """Refuse the first flagged edge, naming its line (the header is line 1)."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        e = flagged[0]
+        raise DataLoadError(f"{path}: line {e + 2}: {what(e)}")
+
+
+def _read_edge_list(path: Path, data: bytes, nodes: int) -> np.ndarray:
+    """The dense nodes x nodes adjacency that an edge list holds."""
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if lines[:1] != [EDGE_HEADER]:
+        raise DataLoadError(f"{path}: line 1: expected the header {EDGE_HEADER!r}")
+    table = _edge_table(path, lines[1:])
+    index = table[:, :2]
+    _refuse_first(
+        path,
+        ~((index == np.floor(index)) & (index >= 0) & (index < nodes)).all(axis=1),
+        lambda e: f"node index is not an integer in [0, {nodes}): {lines[e + 1]!r}",
+    )
+    rows, cols = index.astype(np.int64).T
+    flat = rows * nodes + cols
+    _refuse_first(
+        path,
+        np.concatenate(([False], np.diff(flat) <= 0)),
+        lambda e: f"edge ({rows[e]}, {cols[e]}) repeats or is out of row-major order",
+    )
+    values = table[:, 2]
+    _refuse_first(
+        path,
+        ~(np.isfinite(values) & (values > 0)),
+        lambda e: f"value is not finite and positive: {lines[e + 1]!r}",
+    )
+    # flat is strictly increasing, so a sorted search finds each twin; for
+    # finite positive values, equal means the same bits
+    twin_flat = cols * nodes + rows
+    twin = np.minimum(np.searchsorted(flat, twin_flat), len(flat) - 1)
+    _refuse_first(
+        path,
+        (flat[twin] != twin_flat) | (values[twin] != values),
+        lambda e: f"edge ({rows[e]}, {cols[e]}) has no twin ({cols[e]}, {rows[e]}) "
+        "with the same value",
+    )
+    adjacency = np.zeros((nodes, nodes))
+    adjacency[rows, cols] = values
+    return adjacency
+
+
+def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
+    """Manifest-verified load: each view file must match its checksum, and
+    then pass every edge-list check; any failure is a refusal."""
+    manifest = _read_graph_manifest(graph_dir, cfg)
     graphs = []
     for v in range(manifest["num_views"]):
         name = f"view_{v}.csv"
-        path = root / name
+        path = Path(graph_dir) / name
         if name not in manifest["files"] or not path.exists():
             raise DataLoadError(f"graph file missing from {graph_dir}: {name}")
-        if _sha256(path) != manifest["files"][name]:
+        data = path.read_bytes()
+        if _sha256(data) != manifest["files"][name]:
             raise DataLoadError(f"checksum mismatch for {name}; refusing to load")
-        graphs.append(Graph(np.loadtxt(path, delimiter=",", ndmin=2), renormalized=True))
+        graphs.append(Graph(_read_edge_list(path, data, manifest["nodes"]), renormalized=True))
     return graphs
 
 
@@ -165,21 +282,21 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _check_graphs_fit(graphs: list[Graph], dataset, graph_dir) -> None:
+def _check_graphs_fit(manifest: dict, dataset, graph_dir) -> None:
     """Prepared graphs belong to the dataset they were built from: one graph
-    per view, one node per sample."""
+    per view, one node per sample. Checked on the manifest, before any view
+    file is read."""
     V, m = dataset.num_views, dataset.num_samples
-    if len(graphs) != V:
+    if manifest["num_views"] != V:
         raise DataLoadError(
-            f"prepared graphs in {graph_dir} have {len(graphs)} views "
+            f"prepared graphs in {graph_dir} have {manifest['num_views']} views "
             f"but the dataset has {V}"
         )
-    for v, g in enumerate(graphs):
-        if g.adjacency.shape != (m, m):
-            raise DataLoadError(
-                f"prepared graph view_{v}.csv in {graph_dir} has {g.num_nodes} nodes "
-                f"(shape {g.adjacency.shape}) but the dataset has {m} samples"
-            )
+    if manifest["nodes"] != m:
+        raise DataLoadError(
+            f"prepared graphs in {graph_dir} have {manifest['nodes']} nodes "
+            f"but the dataset has {m} samples"
+        )
 
 
 def cmd_train(args) -> int:
@@ -188,8 +305,8 @@ def cmd_train(args) -> int:
     validate_config(cfg, dataset.num_samples)
     graphs = None
     if args.graphs:
+        _check_graphs_fit(_read_graph_manifest(args.graphs, cfg), dataset, args.graphs)
         graphs = load_prepared_graphs(args.graphs, cfg)
-        _check_graphs_fit(graphs, dataset, args.graphs)
     metrics = run_repeats(dataset, cfg, graphs)
     write_run_artifacts(args.out, dataset.name, cfg, metrics)
     print(

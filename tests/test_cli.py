@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import warnings
 
@@ -6,8 +7,16 @@ import numpy as np
 import pytest
 
 from mvgcn import experiment
-from mvgcn.cli import _fusion_summary, main, save_prepared_graphs, write_csv, write_json
-from mvgcn.data import make_synthetic, save_dataset
+from mvgcn.cli import (
+    _fusion_summary,
+    load_prepared_graphs,
+    main,
+    save_prepared_graphs,
+    write_csv,
+    write_json,
+)
+from mvgcn.config import RunConfig
+from mvgcn.data import load_dataset, make_synthetic, save_dataset
 from mvgcn.graphs import Graph
 from mvgcn.model import _encode_array, config_digest, init_model
 
@@ -32,6 +41,17 @@ def config_file(tmp_path_factory):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _replaced(lines: list[str], lineno: int, text: str) -> list[str]:
+    """A copy of ``lines`` with line ``lineno`` (counted from 1) set to ``text``."""
+    return lines[: lineno - 1] + [text] + lines[lineno:]
+
+
+def _nudged(line: str) -> str:
+    """An edge line whose value is one ulp larger."""
+    r, c, value = line.split(",")
+    return f"{r},{c},{float(np.nextafter(float(value), np.inf))!r}"
 
 
 class TestTrain:
@@ -140,9 +160,33 @@ class TestPrepare:
         out = tmp_path / "graphs"
         assert run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["format"] == 2
         assert manifest["k"] == 3
         assert manifest["num_views"] == 2
+        assert manifest["nodes"] == 24
         assert set(manifest["files"]) == {"view_0.csv", "view_1.csv"}
+
+    def test_views_are_row_major_edge_lists(self, data_dir, tmp_path):
+        out = tmp_path / "graphs"
+        run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out)
+        adjacency = experiment.prepare_graphs(load_dataset(data_dir), 3, "euclidean")[0].adjacency
+        lines = (out / "view_0.csv").read_text().splitlines()
+        assert lines[0] == "row,col,value"
+        rows, cols = np.nonzero(adjacency)
+        assert [tuple(map(int, ln.split(",")[:2])) for ln in lines[1:]] == list(zip(rows, cols))
+        assert [float(ln.split(",")[2]) for ln in lines[1:]] == adjacency[rows, cols].tolist()
+
+    @pytest.mark.parametrize("m", [40, 400])
+    def test_saved_graphs_load_to_the_same_bits(self, tmp_path, m):
+        dataset = make_synthetic(m=m, num_views=3, classes=4, noise=0.5, seed=7)
+        graphs = experiment.prepare_graphs(dataset, 10, "euclidean")
+        save_prepared_graphs(tmp_path, graphs, 10, "euclidean")
+        loaded = load_prepared_graphs(tmp_path, RunConfig(k=10, metric="euclidean"))
+        assert len(loaded) == 3
+        for got, want in zip(loaded, graphs):
+            assert got.renormalized
+            assert got.adjacency.dtype == want.adjacency.dtype
+            assert np.array_equal(got.adjacency, want.adjacency)
 
     def test_prepared_training_matches_direct(self, data_dir, config_file, tmp_path):
         graphs = tmp_path / "graphs"
@@ -153,7 +197,8 @@ class TestPrepare:
             "train", "--config", config_file, "--data", data_dir, "--out", b,
             "--graphs", graphs,
         )
-        assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+        for name in ("metrics.json", "history_0.csv", "history_1.csv", "checkpoint.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("k", [0, 24])
     def test_k_out_of_range_exits_2_naming_k(self, data_dir, tmp_path, capsys, k):
@@ -191,8 +236,15 @@ class TestPrepare:
             (lambda manifest: {**manifest, "num_views": "2"}, "'num_views'"),
             (lambda manifest: {**manifest, "k": 3.0}, "'k'"),
             (lambda manifest: {**manifest, "files": sorted(manifest["files"])}, "'files'"),
+            (lambda manifest: {**manifest, "nodes": 0}, "'nodes'"),
+            (lambda manifest: {**manifest, "nodes": "24"}, "'nodes'"),
+            (lambda manifest: {k: v for k, v in manifest.items() if k != "nodes"}, "'nodes'"),
+            (lambda manifest: {**manifest, "format": 3}, "format 3"),
         ],
-        ids=["not_an_object", "num_views_string", "k_float", "files_list"],
+        ids=[
+            "not_an_object", "num_views_string", "k_float", "files_list", "nodes_zero",
+            "nodes_string", "nodes_missing", "format_3",
+        ],
     )
     def test_malformed_manifest_exits_1_naming_the_field(
         self, data_dir, config_file, tmp_path, capsys, edit, field
@@ -208,6 +260,101 @@ class TestPrepare:
         )
         assert code == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_that_is_not_json_exits_1_naming_it(
+        self, data_dir, config_file, tmp_path, capsys
+    ):
+        graphs = tmp_path / "graphs"
+        run_cli("prepare", "--data", data_dir, "--k", 3, "--out", graphs)
+        (graphs / "manifest.json").write_text('{"format": 2,\n')
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", data_dir, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        assert "manifest.json is not valid JSON" in capsys.readouterr().err
+
+    def test_format_1_graph_directory_exits_1_naming_the_format(
+        self, data_dir, config_file, tmp_path, capsys
+    ):
+        # format 1: one dense m x m CSV per view and a manifest without "format"
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        files = {}
+        for v, g in enumerate(experiment.prepare_graphs(load_dataset(data_dir), 3, "euclidean")):
+            path = graphs / f"view_{v}.csv"
+            np.savetxt(path, g.adjacency, delimiter=",", fmt="%.17g")
+            files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest = {"k": 3, "metric": "euclidean", "num_views": 2, "nodes": 24, "files": files}
+        (graphs / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", data_dir, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "format 1" in err
+        assert "mvgcn prepare" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (lambda ls, t: _replaced(ls, 1, "row,col,weight"), 1, "expected the header"),
+            (lambda ls, t: _replaced(ls, 3, ls[2] + ",1"), 3, "expected 3 columns, found 4"),
+            (lambda ls, t: _replaced(ls, 3, ls[2].rsplit(",", 1)[0]), 3, "found 2"),
+            (lambda ls, t: ls[:3] + [""] + ls[3:], 4, "expected 3 columns, found 1"),
+            (lambda ls, t: _replaced(ls, 3, "x" + ls[2][1:]), 3, "non-numeric cell"),
+            (lambda ls, t: _replaced(ls, 3, "0.5" + ls[2][1:]), 3, "not an integer"),
+            (lambda ls, t: _replaced(ls, 3, "-1" + ls[2][1:]), 3, "[0, 24)"),
+            (lambda ls, t: _replaced(ls, 3, "24" + ls[2][1:]), 3, "[0, 24)"),
+            (lambda ls, t: ls[:3] + [ls[2]] + ls[3:], 4, "repeats or is out of row-major order"),
+            (lambda ls, t: [ls[0], ls[2], ls[1]] + ls[3:], 3, "out of row-major order"),
+            (lambda ls, t: ls[: t - 1] + ls[t:], 3, "has no twin"),
+            (lambda ls, t: _replaced(ls, t, _nudged(ls[t - 1])), 3, "has no twin"),
+            (lambda ls, t: _replaced(ls, 2, "0,0,inf"), 2, "not finite and positive"),
+            (lambda ls, t: _replaced(ls, 2, "0,0,nan"), 2, "not finite and positive"),
+            (lambda ls, t: _replaced(ls, 2, "0,0,0"), 2, "not finite and positive"),
+            (lambda ls, t: _replaced(ls, 2, "0,0,-0.25"), 2, "not finite and positive"),
+            (lambda ls, t: ls[:1], 2, "no edges"),
+        ],
+        ids=[
+            "header", "four_columns", "two_columns", "blank_line", "non_numeric",
+            "fractional_index", "negative_index", "index_of_nodes", "repeated_edge",
+            "out_of_order", "missing_twin", "unequal_twin", "infinite_value", "nan_value",
+            "zero_value", "negative_value", "no_edges",
+        ],
+    )
+    def test_malformed_edge_list_exits_1_naming_file_and_line(
+        self, data_dir, config_file, tmp_path, capsys, edit, line, message
+    ):
+        graphs = tmp_path / "graphs"
+        run_cli("prepare", "--data", data_dir, "--k", 3, "--out", graphs)
+        target = graphs / "view_0.csv"
+        lines = target.read_text().splitlines()
+        # line 2 is the self-loop (0, 0), line 3 the edge (0, c); t is the
+        # line of its twin (c, 0)
+        c = int(lines[2].split(",")[1])
+        assert lines[1].startswith("0,0,") and lines[2].startswith("0,") and c > 0
+        t = next(n for n, ln in enumerate(lines, start=1) if ln.startswith(f"{c},0,"))
+        target.write_text("\n".join(edit(lines, t)) + "\n")
+        # the checksum is rewritten, so only the edge list itself is wrong
+        manifest_path = graphs / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["view_0.csv"] = hashlib.sha256(target.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", data_dir, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"view_0.csv: line {line}: " in err
+        assert message in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -235,6 +382,23 @@ class TestPrepare:
             assert size in err
         assert "does not match adjacency" not in err
         assert not (tmp_path / "x").exists()
+
+    def test_fit_is_checked_before_any_view_file_is_read(self, config_file, tmp_path, capsys):
+        source, target, graphs = tmp_path / "source", tmp_path / "target", tmp_path / "graphs"
+        save_dataset(source, make_synthetic(m=40, num_views=2, classes=2, noise=0.2, seed=5))
+        save_dataset(target, make_synthetic(m=24, num_views=2, classes=2, noise=0.2, seed=6))
+        assert run_cli("prepare", "--data", source, "--k", 3, "--out", graphs) == 0
+        for path in graphs.glob("view_*.csv"):
+            path.write_text("not an edge list\n")
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", config_file, "--data", target, "--out", tmp_path / "x",
+            "--graphs", graphs,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "40 nodes" in err and "has 24 samples" in err
+        assert "checksum" not in err
 
 
 class TestEval:
@@ -413,7 +577,7 @@ class TestAtomicWrites:
         out = tmp_path / "graphs"
         assert run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        # the second row cannot be formatted, so the write fails part-way
+        # the entry "x" cannot be formatted as a value, so the write fails
         bad = Graph(np.array([[0.5, 0.5], [0.5, "x"]], dtype=object), renormalized=True)
         with pytest.raises(TypeError):
             save_prepared_graphs(out, [bad], 3, "euclidean")
