@@ -13,13 +13,18 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Text handle (UTF-8) whose contents replace ``path`` when the block
-    exits normally; on any exception the temporary file is removed."""
+def atomic_open(path, newline=None, binary=False):
+    """Handle, text (UTF-8) or ``binary``, whose contents replace ``path``
+    when the block exits normally; on any exception the temporary file is
+    removed."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        if binary:
+            handle = open(tmp, "wb")
+        else:
+            handle = open(tmp, "w", encoding="utf-8", newline=newline)
+        with handle as fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:

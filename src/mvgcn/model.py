@@ -17,20 +17,22 @@ the adjacency the sampled product (g B^T) at the edges. So the gradients of
 the fused, refined and selected graphs exist on the edges only, the
 sparsity pattern being a constant of the forward values.
 
-A checkpoint (format 2) is one JSON object: ``format``, ``step``,
-``config`` and its ``config_hash``, and three sections (``params``,
-``first_moment``, ``second_moment``) mapping each parameter name to
-``{"shape": [rows, cols], "data": <base64 of the little-endian float64
-bytes, row-major>}``. The encoding is exact and byte-stable across reruns,
-and loading it runs no code. Format-1 files (nested number lists) are
-refused.
+A checkpoint (format 3) is two files. The header is a small JSON object:
+``format``, ``step``, ``config`` and its ``config_hash``, three sections
+(``params``, ``first_moment``, ``second_moment``) mapping each parameter
+name to its ``[rows, cols]`` shape in payload order, and the payload's
+``payload_bytes`` and ``payload_sha256``. The payload, named after the
+header (``payload_path``), holds every array's little-endian float64 bytes,
+row-major, one after another. The encoding is exact and byte-stable across
+reruns, and loading it runs no code. Formats 1 and 2 are refused.
 """
 
-import base64
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -49,8 +51,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LOSS_CLAMP = 1e-12
 DNS_MODES = CONFIG_DNS_MODES + ("off",)  # "off" is a config with dns=False
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 CHECKPOINT_SECTIONS = ("params", "first_moment", "second_moment")
+PAYLOAD_SUFFIX = ".f64"
 
 
 @dataclass
@@ -417,91 +420,182 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    data = np.asarray(a, dtype="<f8").tobytes()
-    return {"shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
-
-
-def _decode_array(section: str, name: str, entry) -> np.ndarray:
-    where = f"checkpoint {section} {name!r}"
-    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-        raise DataLoadError(f"{where}: expected an object with 'shape' and 'data'")
-    shape = entry["shape"]
-    if not (
-        isinstance(shape, list)
-        and len(shape) == 2
-        and all(type(n) is int and n >= 0 for n in shape)
-    ):
-        raise DataLoadError(f"{where}: shape must be two non-negative integers, got {shape!r}")
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except (TypeError, ValueError):
-        raise DataLoadError(f"{where}: data is not valid base64") from None
-    rows, cols = shape
-    if len(raw) != 8 * rows * cols:
-        raise DataLoadError(
-            f"{where}: data holds {len(raw)} bytes, shape {rows}x{cols} needs {8 * rows * cols}"
-        )
-    array = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    if not np.isfinite(array).all():
-        raise DataLoadError(f"{where}: contains non-finite values")
-    return array
+def payload_path(path) -> Path:
+    """The payload file of the checkpoint header at ``path``: the header's
+    name with the suffix ``.f64`` (``checkpoint.json`` -> ``checkpoint.f64``).
+    It is derived, never read from the header, so a header cannot point
+    at another file."""
+    return Path(path).with_suffix(PAYLOAD_SUFFIX)
 
 
 def save_checkpoint(path, state: ModelState, config: dict) -> None:
-    with atomic_open(path) as fh:
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "step": state.step,
-            "config": config,
-            "config_hash": config_digest(config),
-        }
+    """Write the header to ``path`` and the payload to ``payload_path(path)``.
+
+    Both go to temporaries first. The payload moves into place before the
+    header, so a failure before the moves leaves the previous checkpoint
+    loadable, and a pair left mismatched by a crash between the two moves
+    fails the header's checksum.
+    """
+    header_path, payload = Path(path), payload_path(path)
+    if payload == header_path:
+        raise ParameterError(
+            f"checkpoint header {header_path} ends in {PAYLOAD_SUFFIX}, its payload's suffix"
+        )
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "step": state.step,
+        "config": config,
+        "config_hash": config_digest(config),
+    }
+    digest = hashlib.sha256()
+    size = 0
+    # the payload's block is inside the header's, so it is moved first
+    with atomic_open(header_path) as header_fh, atomic_open(payload, binary=True) as payload_fh:
         for section in CHECKPOINT_SECTIONS:
-            arrays = getattr(state, section)
-            payload[section] = {k: _encode_array(v) for k, v in arrays.items()}
-        fh.write(json.dumps(payload))
+            header[section] = {}
+            for name, a in getattr(state, section).items():
+                data = np.ascontiguousarray(a, dtype="<f8")
+                payload_fh.write(data)
+                digest.update(data)
+                size += data.nbytes
+                header[section][name] = list(data.shape)
+        header["payload_bytes"] = size
+        header["payload_sha256"] = digest.hexdigest()
+        header_fh.write(json.dumps(header) + "\n")
+
+
+def _read_header(path: Path) -> dict:
+    """The header's fields, checked as far as the header alone allows."""
+    where = f"checkpoint {path}"
+    try:
+        header = json.loads(path.read_bytes())
+    except OSError as exc:
+        raise DataLoadError(f"{where} cannot be read: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DataLoadError(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataLoadError(f"{where} is not a JSON object")
+    if "format" not in header:
+        raise DataLoadError(f"{where} is missing field 'format'")
+    if header["format"] != CHECKPOINT_FORMAT:
+        raise DataLoadError(
+            f"{where}: unsupported checkpoint format {header['format']!r}; this version reads "
+            f"format {CHECKPOINT_FORMAT} only, retrain to write a new checkpoint"
+        )
+    required = ("step", "config", "config_hash", *CHECKPOINT_SECTIONS)
+    for key in required + ("payload_bytes", "payload_sha256"):
+        if key not in header:
+            raise DataLoadError(f"{where} is missing field {key!r}")
+    if not isinstance(header["config"], dict):
+        raise DataLoadError(f"{where}: config is not a JSON object")
+    step = header["step"]
+    if type(step) is not int or step < 0:
+        raise DataLoadError(f"{where}: step must be a non-negative integer, got {step!r}")
+    if config_digest(header["config"]) != header["config_hash"]:
+        raise DataLoadError(f"{where}: config hash does not match its config")
+    size = header["payload_bytes"]
+    if type(size) is not int or size < 0:
+        raise DataLoadError(f"{where}: payload_bytes must be a non-negative integer, got {size!r}")
+    if not isinstance(header["payload_sha256"], str):
+        raise DataLoadError(f"{where}: payload_sha256 must be a string")
+    for section in CHECKPOINT_SECTIONS:
+        if not isinstance(header[section], dict):
+            raise DataLoadError(f"{where}: {section} is not an object")
+        for name, shape in header[section].items():
+            if not (
+                isinstance(shape, list)
+                and len(shape) == 2
+                and all(type(n) is int and n >= 0 for n in shape)
+            ):
+                raise DataLoadError(
+                    f"{where}: {section} {name!r}: shape must be two non-negative "
+                    f"integers, got {shape!r}"
+                )
+    return header
+
+
+def _read_payload(payload: Path, header_path: Path, size: int) -> bytearray:
+    try:
+        with open(payload, "rb") as fh:
+            found = os.fstat(fh.fileno()).st_size
+            if found == size:
+                buf = bytearray(size)
+                found = fh.readinto(buf)
+    except FileNotFoundError:
+        raise DataLoadError(
+            f"checkpoint payload {payload} is missing; its header {header_path} needs it "
+            "beside it (a checkpoint is moved as both files)"
+        ) from None
+    except OSError as exc:
+        raise DataLoadError(
+            f"checkpoint payload {payload} cannot be read: {exc.strerror}"
+        ) from None
+    if found != size:
+        raise DataLoadError(
+            f"checkpoint payload {payload} holds {found} bytes but its header "
+            f"{header_path} says {size}"
+        )
+    return buf
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise DataLoadError("checkpoint is not a JSON object")
-    for key in ("format", "step", "config", "config_hash") + CHECKPOINT_SECTIONS:
-        if key not in payload:
-            raise DataLoadError(f"checkpoint is missing field {key!r}")
-    if payload["format"] != CHECKPOINT_FORMAT:
-        raise DataLoadError(
-            f"unsupported checkpoint format {payload['format']!r}; this version reads "
-            f"format {CHECKPOINT_FORMAT} only, retrain to write a new checkpoint"
-        )
-    if not isinstance(payload["config"], dict):
-        raise DataLoadError("checkpoint config is not a JSON object")
-    step = payload["step"]
-    if type(step) is not int or step < 0:
-        raise DataLoadError(f"checkpoint step must be a non-negative integer, got {step!r}")
-    if config_digest(payload["config"]) != payload["config_hash"]:
-        raise DataLoadError("checkpoint config hash does not match its config")
+    """Read the checkpoint whose header is at ``path``.
 
-    sections = {}
-    for section in CHECKPOINT_SECTIONS:
-        if not isinstance(payload[section], dict):
-            raise DataLoadError(f"checkpoint {section} is not an object")
-        sections[section] = {
-            k: _decode_array(section, k, v) for k, v in payload[section].items()
-        }
+    The header is checked first, then the payload's size and sha256, before
+    any array is decoded; then that the shapes tile the payload, that every
+    value is finite, and that the three sections agree on names and shapes.
+    Each refusal is a ``DataLoadError`` naming the file it concerns. The
+    arrays are writeable and share no memory.
+    """
+    header_path, payload = Path(path), payload_path(path)
+    if payload == header_path:
+        raise DataLoadError(
+            f"checkpoint header {header_path} ends in {PAYLOAD_SUFFIX}, its payload's suffix; "
+            "pass the header"
+        )
+    header = _read_header(header_path)
+    size = header["payload_bytes"]
+    buf = _read_payload(payload, header_path, size)
+    if hashlib.sha256(buf).hexdigest() != header["payload_sha256"]:
+        raise DataLoadError(
+            f"checkpoint payload {payload} does not match the sha256 in its header "
+            f"{header_path}; the pair is damaged or from two different saves"
+        )
+    layout = [
+        (section, name, shape)
+        for section in CHECKPOINT_SECTIONS
+        for name, shape in header[section].items()
+    ]
+    need = sum(8 * rows * cols for _, _, (rows, cols) in layout)
+    if need != size:
+        raise DataLoadError(
+            f"checkpoint {header_path}: its shapes need {need} bytes but its payload "
+            f"{payload} holds {size}"
+        )
+
+    sections = {section: {} for section in CHECKPOINT_SECTIONS}
+    offset = 0
+    for section, name, (rows, cols) in layout:
+        # a view of its own stretch of the buffer: writeable, overlapping no other
+        array = np.frombuffer(buf, "<f8", rows * cols, offset).reshape(rows, cols)
+        offset += array.nbytes
+        if not np.isfinite(array).all():
+            raise DataLoadError(
+                f"checkpoint payload {payload}: {section} {name!r} contains non-finite values"
+            )
+        sections[section][name] = array.astype(np.float64, copy=False)
     params = sections["params"]
     for section in CHECKPOINT_SECTIONS[1:]:
         moments = sections[section]
         if set(moments) != set(params):
             raise DataLoadError(
-                f"checkpoint {section} names {sorted(moments)} but params names {sorted(params)}"
+                f"checkpoint {header_path}: {section} names {sorted(moments)} but params "
+                f"names {sorted(params)}"
             )
         for name, p in params.items():
             if moments[name].shape != p.shape:
                 raise DataLoadError(
-                    f"checkpoint {section} {name!r} has shape {moments[name].shape}, "
-                    f"params {name!r} has {p.shape}"
+                    f"checkpoint {header_path}: {section} {name!r} has shape "
+                    f"{moments[name].shape}, params {name!r} has {p.shape}"
                 )
-    state = ModelState(**sections, step=step)
-    return state, payload["config"]
+    return ModelState(**sections, step=header["step"]), header["config"]

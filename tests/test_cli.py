@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from mvgcn.cli import (
 from mvgcn.config import RunConfig
 from mvgcn.data import load_dataset, make_synthetic, save_dataset
 from mvgcn.graphs import Graph
-from mvgcn.model import _encode_array, config_digest, init_model
+from mvgcn.model import config_digest, init_model, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def edited_header(checkpoint, path, edit):
+    """A copy of ``checkpoint`` at ``path``, its payload copied beside it
+    unchanged, whose header ``edit`` changed."""
+    header = json.loads(checkpoint.read_text())
+    edit(header)
+    path.write_text(json.dumps(header))
+    shutil.copyfile(checkpoint.with_suffix(".f64"), path.with_suffix(".f64"))
+    return path
+
+
 def _replaced(lines: list[str], lineno: int, text: str) -> list[str]:
     """A copy of ``lines`` with line ``lineno`` (counted from 1) set to ``text``."""
     return lines[: lineno - 1] + [text] + lines[lineno:]
@@ -63,6 +74,7 @@ class TestTrain:
             "history_0.csv",
             "history_1.csv",
             "checkpoint.json",
+            "checkpoint.f64",
             "fusion_weights.json",
         ):
             assert (out / name).exists()
@@ -91,6 +103,7 @@ class TestTrain:
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
         assert (a / "history_0.csv").read_bytes() == (b / "history_0.csv").read_bytes()
         assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+        assert (a / "checkpoint.f64").read_bytes() == (b / "checkpoint.f64").read_bytes()
 
     def test_env_var_overrides_seed(self, data_dir, config_file, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -197,7 +210,9 @@ class TestPrepare:
             "train", "--config", config_file, "--data", data_dir, "--out", b,
             "--graphs", graphs,
         )
-        for name in ("metrics.json", "history_0.csv", "history_1.csv", "checkpoint.json"):
+        for name in (
+            "metrics.json", "history_0.csv", "history_1.csv", "checkpoint.json", "checkpoint.f64",
+        ):  # fmt: skip
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("k", [0, 24])
@@ -465,11 +480,11 @@ class TestEval:
         self, checkpoint, data_dir, tmp_path, capsys, field, value, message
     ):
         # the config hash is recomputed, so only the field itself is wrong
-        payload = json.loads(checkpoint.read_text())
-        payload[field] = value
-        payload["config_hash"] = config_digest(payload["config"])
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        def edit(header):
+            header[field] = value
+            header["config_hash"] = config_digest(header["config"])
+
+        bad = edited_header(checkpoint, tmp_path / "bad.json", edit)
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", bad, "--data", data_dir) == 1
         assert message in capsys.readouterr().err
@@ -484,7 +499,7 @@ class TestEval:
             ({"config": {"layers": 3}}, "checkpoint has no parameter 'W3'"),
             ({"config": {"hidden_dim": 16}}, "8 hidden units (W1 has shape (20, 8))"),
             (
-                {"set": ("raw_theta", np.zeros((1, 2)))},
+                {"set": ("raw_theta", (1, 2))},
                 "(raw_theta has shape (1, 2)) but the model has 1",
             ),
         ],
@@ -496,23 +511,22 @@ class TestEval:
     def test_parameters_that_do_not_fit_the_config_exit_1_naming_one(
         self, checkpoint, data_dir, tmp_path, capsys, edit, message
     ):
-        # every section is edited alike and the config hash is recomputed,
-        # so the checkpoint loads and only its fit to the config is wrong
-        payload = json.loads(checkpoint.read_text())
+        # every section is edited alike and saved with its config, so the
+        # checkpoint loads and only its fit to the config is wrong
+        state, config = load_checkpoint(checkpoint)
         for section in ("params", "first_moment", "second_moment"):
-            arrays = payload[section]
+            arrays = getattr(state, section)
             if "drop" in edit:
                 del arrays[edit["drop"]]
             if "copy" in edit:
                 source, target = edit["copy"]
                 arrays[target] = arrays[source]
             if "set" in edit:
-                name, value = edit["set"]
-                arrays[name] = _encode_array(value)
-        payload["config"].update(edit.get("config", {}))
-        payload["config_hash"] = config_digest(payload["config"])
+                name, shape = edit["set"]
+                arrays[name] = np.zeros(shape)
+        config.update(edit.get("config", {}))
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        save_checkpoint(bad, state, config)
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", bad, "--data", data_dir) == 1
         assert message in capsys.readouterr().err
@@ -520,14 +534,33 @@ class TestEval:
     def test_checkpoint_naming_the_removed_field_exits_2(self, checkpoint, data_dir, tmp_path, capsys):
         # checkpoints written while renormalize_after_selection existed store
         # it in their config; the hash is recomputed so only the field is wrong
-        payload = json.loads(checkpoint.read_text())
-        payload["config"]["renormalize_after_selection"] = False
-        payload["config_hash"] = config_digest(payload["config"])
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(payload))
+        def edit(header):
+            header["config"]["renormalize_after_selection"] = False
+            header["config_hash"] = config_digest(header["config"])
+
+        old = edited_header(checkpoint, tmp_path / "old.json", edit)
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", old, "--data", data_dir) == 2
         assert "renormalize_after_selection" in capsys.readouterr().err
+
+    def test_truncated_header_exits_1_naming_the_path(self, checkpoint, data_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.json"
+        cut.write_bytes(checkpoint.read_bytes()[:40])
+        shutil.copyfile(checkpoint.with_suffix(".f64"), cut.with_suffix(".f64"))
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", cut, "--data", data_dir) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {cut} is not valid JSON" in err
+
+    def test_header_without_its_payload_exits_1_naming_both(
+        self, checkpoint, data_dir, tmp_path, capsys
+    ):
+        moved = tmp_path / "moved.json"
+        shutil.copyfile(checkpoint, moved)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", moved, "--data", data_dir) == 1
+        err = capsys.readouterr().err
+        assert str(moved.with_suffix(".f64")) in err and str(moved) in err
 
 
 class TestInputs:

@@ -1,7 +1,12 @@
+import base64
 import gc
+import hashlib
+import json
 import math
+import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from mvgcn.experiment import feature_matrix, prepare_graphs
 from mvgcn.fusion import edge_support
 from mvgcn.graphs import Graph, build_knn_graph, renormalize
 from mvgcn.model import (
+    CHECKPOINT_SECTIONS,
     ModelState,
     adam_step,
     config_digest,
@@ -26,6 +32,7 @@ from mvgcn.model import (
     load_checkpoint,
     masked_cross_entropy,
     one_hot,
+    payload_path,
     predict,
     save_checkpoint,
     train,
@@ -615,47 +622,112 @@ class TestCheckpoint:
             assert np.array_equal(loaded.first_moment[name], state.first_moment[name])
             assert np.array_equal(loaded.second_moment[name], state.second_moment[name])
 
+    def test_loaded_arrays_are_writeable_and_share_no_memory(self, tmp_path):
+        # Adam updates the loaded arrays in place
+        state = init_model(2, 5, 4, 3, 2, np.random.default_rng(30))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, {})
+        loaded, _ = load_checkpoint(path)
+        arrays = [a for s in CHECKPOINT_SECTIONS for a in getattr(loaded, s).values()]
+        assert all(a.flags.writeable and a.dtype == np.float64 for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        adam_step(loaded, {k: np.ones_like(v) for k, v in loaded.params.items()}, 0.1)
+
+    def test_header_and_payload_layout(self, tmp_path):
+        rng = np.random.default_rng(21)
+        state = init_model(2, 5, 4, 3, 2, rng)
+        adam_step(state, {k: rng.normal(size=v.shape) for k, v in state.params.items()}, 0.1)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, {"k": 3})
+        assert payload_path(path) == tmp_path / "checkpoint.f64"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.f64", "checkpoint.json"]
+        header = json.loads(path.read_text())
+        payload = payload_path(path).read_bytes()
+        assert list(header) == [
+            "format", "step", "config", "config_hash", *CHECKPOINT_SECTIONS,
+            "payload_bytes", "payload_sha256",
+        ]  # fmt: skip
+        assert header["format"] == 3 and header["step"] == 1
+        assert header["payload_bytes"] == len(payload)
+        assert header["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        # each section names its arrays with their shapes, in payload order
+        want = b""
+        for section in CHECKPOINT_SECTIONS:
+            arrays = getattr(state, section)
+            assert header[section] == {k: list(v.shape) for k, v in arrays.items()}
+            want += b"".join(v.astype("<f8").tobytes() for v in arrays.values())
+        assert payload == want
+
+    def test_same_content_gives_byte_identical_files_under_any_name(self, tmp_path):
+        # the header stores no file name, so a checkpoint's bytes are its content
+        state = init_model(2, 5, 4, 3, 2, np.random.default_rng(31))
+        a, b = tmp_path / "a" / "checkpoint.json", tmp_path / "b" / "other.json"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        save_checkpoint(a, state, {"seed": 1})
+        save_checkpoint(b, state, {"seed": 1})
+        assert a.read_bytes() == b.read_bytes()
+        assert payload_path(a).read_bytes() == payload_path(b).read_bytes()
+
+    def test_header_named_like_its_payload_refused(self, tmp_path):
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(32))
+        path = tmp_path / "checkpoint.f64"
+        with pytest.raises(ParameterError, match="checkpoint.f64"):
+            save_checkpoint(path, state, {})
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"\0" * 8)
+        with pytest.raises(DataLoadError, match="checkpoint.f64.*pass the header"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved(tmp_path, seed, edit_state=None):
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(seed))
+        adam_step(state, {k: np.ones_like(v) for k, v in state.params.items()}, 0.1)
+        if edit_state is not None:
+            edit_state(state)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, state, {})
+        return path
+
+    @classmethod
+    def _tampered(cls, tmp_path, seed, edit):
+        """A saved checkpoint whose header ``edit`` changed in place."""
+        path = cls._saved(tmp_path, seed)
+        header = json.loads(path.read_text())
+        edit(header)
+        path.write_text(json.dumps(header))
+        return path
+
     def test_tampered_config_rejected(self, tmp_path):
-        import json
+        def edit(header):
+            header["config"]["tau"] = 0.1
 
-        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(19))
-        path = tmp_path / "model.json"
-        save_checkpoint(path, state, {"tau": 0.5})
-        payload = json.loads(path.read_text())
-        payload["config"]["tau"] = 0.1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataLoadError):
-            load_checkpoint(path)
+        with pytest.raises(DataLoadError, match="model.json: config hash"):
+            load_checkpoint(self._tampered(tmp_path, 19, edit))
 
-    def test_missing_field_rejected(self, tmp_path):
-        import json
+    @pytest.mark.parametrize(
+        "field", ["step", "config_hash", "params", "second_moment", "payload_bytes", "payload_sha256"]
+    )
+    def test_missing_field_rejected(self, tmp_path, field):
+        def edit(header):
+            del header[field]
 
-        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(20))
-        path = tmp_path / "model.json"
-        save_checkpoint(path, state, {})
-        payload = json.loads(path.read_text())
-        del payload["params"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataLoadError):
-            load_checkpoint(path)
+        with pytest.raises(DataLoadError, match=f"model.json is missing field '{field}'"):
+            load_checkpoint(self._tampered(tmp_path, 20, edit))
 
-    def test_arrays_are_base64_float64_with_shape(self, tmp_path):
-        import base64
-        import json
+    @pytest.mark.parametrize(
+        "field, value", [("payload_bytes", -8), ("payload_bytes", "96"), ("payload_sha256", 0)]
+    )
+    def test_malformed_payload_field_rejected(self, tmp_path, field, value):
+        def edit(header):
+            header[field] = value
 
-        state = init_model(2, 5, 4, 3, 2, np.random.default_rng(21))
-        path = tmp_path / "model.json"
-        save_checkpoint(path, state, {})
-        payload = json.loads(path.read_text())
-        assert payload["format"] == 2
-        entry = payload["params"]["S1"]
-        assert entry["shape"] == [5, 5]
-        raw = base64.b64decode(entry["data"], validate=True)
-        assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(5, 5), state.params["S1"])
+        with pytest.raises(DataLoadError, match=f"model.json: {field} must be"):
+            load_checkpoint(self._tampered(tmp_path, 33, edit))
 
     def test_format_1_rejected_naming_the_format(self, tmp_path):
-        import json
-
         state = init_model(1, 3, 2, 2, 2, np.random.default_rng(22))
         path = tmp_path / "model.json"
         payload = {
@@ -671,90 +743,177 @@ class TestCheckpoint:
         with pytest.raises(DataLoadError, match="format 1.*retrain"):
             load_checkpoint(path)
 
-    @staticmethod
-    def _tampered(tmp_path, seed, edit):
-        import json
+    def test_format_2_rejected_naming_the_format(self, tmp_path):
+        # format 2 held every array as base64 inside the one JSON file
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(34))
 
-        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(seed))
-        adam_step(state, {k: np.ones_like(v) for k, v in state.params.items()}, 0.1)
+        def encoded(arrays):
+            return {
+                k: {"shape": list(v.shape), "data": base64.b64encode(v.tobytes()).decode("ascii")}
+                for k, v in arrays.items()
+            }
+
+        path = tmp_path / "checkpoint.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 2,
+                    "step": 0,
+                    "config": {},
+                    "config_hash": config_digest({}),
+                    **{s: encoded(getattr(state, s)) for s in CHECKPOINT_SECTIONS},
+                }
+            )
+        )
+        with pytest.raises(DataLoadError, match="checkpoint.json: .*format 2.*retrain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", '{"format": 3, "st', "[1, 2]", "\udcff"],
+        ids=["empty", "truncated", "array", "not-utf8"],
+    )
+    def test_header_that_is_not_a_json_object_rejected_naming_it(self, tmp_path, text):
         path = tmp_path / "model.json"
-        save_checkpoint(path, state, {})
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        return path
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataLoadError, match="checkpoint .*model.json is not"):
+            load_checkpoint(path)
 
-    def test_garbled_base64_rejected(self, tmp_path):
-        def edit(payload):
-            data = payload["params"]["S2"]["data"]
-            payload["params"]["S2"]["data"] = data[:4] + "*!" + data[4:]
+    def test_missing_header_rejected_naming_it(self, tmp_path):
+        with pytest.raises(DataLoadError, match="none.json cannot be read"):
+            load_checkpoint(tmp_path / "none.json")
 
-        with pytest.raises(DataLoadError, match="params 'S2'.*base64"):
-            load_checkpoint(self._tampered(tmp_path, 23, edit))
+    def test_missing_payload_rejected_naming_both_files(self, tmp_path):
+        path = self._saved(tmp_path, 35)
+        payload_path(path).unlink()
+        with pytest.raises(DataLoadError, match="model.f64 is missing; its header .*model.json"):
+            load_checkpoint(path)
+
+    # cut by one byte, one value, the whole payload; one value appended
+    @pytest.mark.parametrize("change", [-1, -8, -10_000, 8])
+    def test_truncated_or_lengthened_payload_rejected(self, tmp_path, change):
+        path = self._saved(tmp_path, 36)
+        payload = payload_path(path)
+        data = payload.read_bytes()
+        payload.write_bytes(data[: max(0, len(data) + change)] + bytes(max(0, change)))
+        found = max(0, len(data) + change)
+        with pytest.raises(DataLoadError, match=f"model.f64 holds {found} bytes but its header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("position", [0, 77, -1])
+    def test_flipped_payload_byte_rejected_by_the_checksum(self, tmp_path, position):
+        path = self._saved(tmp_path, 23)
+        payload = payload_path(path)
+        data = bytearray(payload.read_bytes())
+        data[position] ^= 0x01
+        payload.write_bytes(bytes(data))
+        with pytest.raises(DataLoadError, match="model.f64 does not match the sha256.*model.json"):
+            load_checkpoint(path)
 
     def test_wrong_byte_length_rejected(self, tmp_path):
-        def edit(payload):
-            payload["first_moment"]["S1"]["shape"] = [3, 4]
+        # a longer shape than the payload holds: 9 more entries of 8 bytes
+        def edit(header):
+            header["first_moment"]["S1"] = [3, 6]
 
-        with pytest.raises(DataLoadError, match="first_moment 'S1'.*72 bytes.*needs 96"):
+        with pytest.raises(DataLoadError, match="model.json: its shapes need 744 bytes.*holds 672"):
             load_checkpoint(self._tampered(tmp_path, 24, edit))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header["params"].update(S2=[3, 2]),
+            lambda header: [header[s].pop("W2") for s in CHECKPOINT_SECTIONS],
+            lambda header: header["second_moment"].update(extra=[2, 2]),
+        ],
+        ids=["shorter-shape", "array-left-out", "array-added"],
+    )
+    def test_shapes_that_do_not_tile_the_payload_rejected(self, tmp_path, edit):
+        with pytest.raises(DataLoadError, match="model.json: its shapes need .* bytes but its payload"):
+            load_checkpoint(self._tampered(tmp_path, 38, edit))
 
     @pytest.mark.parametrize("shape", [[3], [3, -1], [3.0, 3], [True, 1], "3x3", None])
     def test_malformed_shape_rejected(self, tmp_path, shape):
-        def edit(payload):
-            payload["params"]["W1"]["shape"] = shape
+        def edit(header):
+            header["params"]["W1"] = shape
 
         with pytest.raises(DataLoadError, match="params 'W1'.*shape"):
             load_checkpoint(self._tampered(tmp_path, 25, edit))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, bad):
-        import base64
-
-        def edit(payload):
-            values = np.full((1, 1), bad, dtype="<f8")
-            payload["second_moment"]["raw_theta"]["data"] = base64.b64encode(
-                values.tobytes()
-            ).decode("ascii")
-
-        with pytest.raises(DataLoadError, match="second_moment 'raw_theta'.*non-finite"):
-            load_checkpoint(self._tampered(tmp_path, 26, edit))
+        # the value is written into the payload and the checksum recomputed,
+        # so only the value itself is wrong; second_moment's raw_theta is
+        # the last array but two (W1 2x2, W2 2x2 follow)
+        path = self._saved(tmp_path, 26)
+        payload = payload_path(path)
+        data = bytearray(payload.read_bytes())
+        offset = len(data) - 8 * (1 + 4 + 4)
+        data[offset : offset + 8] = np.array([bad], dtype="<f8").tobytes()
+        payload.write_bytes(bytes(data))
+        header = json.loads(path.read_text())
+        assert list(header["second_moment"])[-3:] == ["raw_theta", "W1", "W2"]
+        header["payload_sha256"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(header))
+        with pytest.raises(DataLoadError, match="model.f64: second_moment 'raw_theta'.*non-finite"):
+            load_checkpoint(path)
 
     def test_sections_disagreeing_on_names_rejected(self, tmp_path):
-        def edit(payload):
-            del payload["first_moment"]["W2"]
+        def edit(state):
+            del state.first_moment["W2"]
 
-        with pytest.raises(DataLoadError, match="first_moment.*params"):
-            load_checkpoint(self._tampered(tmp_path, 27, edit))
+        with pytest.raises(DataLoadError, match="model.json: first_moment.*params"):
+            load_checkpoint(self._saved(tmp_path, 27, edit))
 
     def test_sections_disagreeing_on_shapes_rejected(self, tmp_path):
-        def edit(payload):
-            payload["second_moment"]["S1"] = payload["second_moment"]["raw_theta"]
+        def edit(state):
+            state.second_moment["S1"] = state.second_moment["raw_theta"]
 
-        with pytest.raises(DataLoadError, match="second_moment 'S1'.*shape"):
-            load_checkpoint(self._tampered(tmp_path, 28, edit))
+        with pytest.raises(DataLoadError, match="model.json: second_moment 'S1'.*shape"):
+            load_checkpoint(self._saved(tmp_path, 28, edit))
 
-    def test_failed_save_keeps_previous_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
-        import mvgcn.model
+    def test_failed_save_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("disk went away")
 
         state = init_model(1, 3, 2, 2, 2, np.random.default_rng(29))
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, state, {"seed": 1})
-        before = path.read_bytes()
-        encode = mvgcn.model._encode_array
-        calls = []
-
-        def failing_encode(a):
-            calls.append(a)
-            if len(calls) > 3:
-                raise RuntimeError("disk went away")
-            return encode(a)
-
-        monkeypatch.setattr(mvgcn.model, "_encode_array", failing_encode)
+        before = [path.read_bytes(), payload_path(path).read_bytes()]
+        # params and first_moment are written before the last section fails
+        state.second_moment["W2"] = Unwritable()
         with pytest.raises(RuntimeError, match="disk went away"):
             save_checkpoint(path, state, {"seed": 2})
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
+        assert [path.read_bytes(), payload_path(path).read_bytes()] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.f64", "checkpoint.json"]
+        load_checkpoint(path)
+
+    def test_crash_between_the_moves_leaves_a_pair_the_checksum_refuses(
+        self, tmp_path, monkeypatch
+    ):
+        state = init_model(1, 3, 2, 2, 2, np.random.default_rng(39))
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, state, {"seed": 1})
+        replace = os.replace
+        moved = []
+
+        def crash_after_the_first_move(src, dst):
+            if moved:
+                raise OSError("power cut")
+            moved.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_after_the_first_move)
+        state.params["S1"] += 1.0
+        with pytest.raises(OSError, match="power cut"):
+            save_checkpoint(path, state, {"seed": 1})
+        monkeypatch.undo()
+        assert moved == ["checkpoint.f64"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.f64", "checkpoint.json"]
+        with pytest.raises(
+            DataLoadError, match="checkpoint.f64 does not match the sha256 .*checkpoint.json"
+        ):
+            load_checkpoint(path)
 
     def test_digest_is_order_insensitive(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})

@@ -16,7 +16,7 @@ from mvgcn import graphs
 from mvgcn.data import make_synthetic
 from mvgcn.experiment import feature_matrix, prepare_graphs
 from mvgcn.graphs import _in_row_runs, _row_blocks, _row_runs, _span
-from mvgcn.model import init_model, predict, save_checkpoint, train
+from mvgcn.model import init_model, payload_path, predict, save_checkpoint, train
 
 
 def spans(runs):
@@ -157,6 +157,7 @@ def trained(views, features, labels, tmp_path, name):
         ],
         "predict": predict(res.state, views, features).tobytes(),
         "checkpoint": path.read_bytes(),
+        "payload": payload_path(path).read_bytes(),
     }
 
 
