@@ -8,6 +8,11 @@ loss node fills in ``node.grad`` for everything on the tape, and
 collector. A :class:`NoGradTape` computes the same values and records
 nothing, for forward passes that need no gradient.
 
+A leaf (``Tape.leaf``) is a read-only view of its input, not a copy: the
+tape reads the array itself, in the forward pass and again in the backward
+sweep, so the caller must not write it until the sweep has ended (a
+training step updates its parameters only after ``backward`` returns).
+
 The module holds the generic ops the model records: the matrix product,
 ``div``, ``log``, ``maximum``/``relu``, ``softmax_rows`` and the reductions
 ``col_sum``, ``sum_all``, ``masked_sum`` and ``weighted_sum``. Fusion,
@@ -16,10 +21,13 @@ modules, built on the same ``Node`` and ``_accumulate``.
 
 A gradient array is created during ``backward``, when the first contribution
 reaches its node, and later ones are added to it. A first contribution that
-its backward rule has just allocated and holds nowhere else becomes the
-gradient as is; any other (an upstream gradient passed on unchanged, or a
-view of one) is copied, so no two nodes share a gradient buffer. A node that
-no contribution reaches gets zeros when the sweep passes it.
+its backward rule has just allocated, or written into a work buffer that
+nothing writes again before the next forward pass on the same edge support
+(``graphs.EdgeSupport.buffers``), becomes the gradient as is; any other (an
+upstream gradient passed on unchanged, or a view of one) is copied, so no
+two nodes share a gradient buffer and no gradient shares memory with a
+node's value. A node that no contribution reaches gets zeros when the sweep
+passes it.
 
 ``div`` takes operands of identical shape, or lets one side be 1x1
 (broadcast as a scalar); no other op broadcasts. The subgradient at the
@@ -101,11 +109,20 @@ class Tape:
         self.nodes.append(node)
 
     def leaf(self, value) -> Node:
-        """Create an input node (parameter or constant) holding ``value``."""
+        """Create an input node (parameter or constant) over ``value``.
+
+        The node's value is a read-only view of ``value`` when that is a
+        C-ordered 2-D float64 array, and of a converted copy otherwise. The
+        caller must not write ``value`` before the backward sweep that uses
+        the node has ended: the forward values already computed from it,
+        and the sweep's gradients, would no longer match it.
+        """
         arr = as_matrix(value)
         if not np.all(np.isfinite(arr)):
             raise DomainError("leaf value contains non-finite entries")
-        return Node(arr.copy(), (), "leaf", self)
+        view = arr.view()
+        view.flags.writeable = False
+        return Node(view, (), "leaf", self)
 
     def backward(self, loss: Node) -> dict:
         """Reverse sweep from a 1x1 ``loss`` node.
@@ -132,17 +149,21 @@ class Tape:
         return {node: node.grad for node in self.nodes if not node.parents}
 
     def release(self) -> None:
-        """Drop every node's backward rule and gradient, and empty the tape.
+        """Drop every node's backward rule, gradient and parents, and empty
+        the tape.
 
         Each backward rule is a closure over its output node, and every node
         points at its tape, so a finished tape is a reference cycle that only
         the cyclic collector frees, at moments set by unrelated allocations.
         Breaking the links frees the arrays as soon as the caller drops its
-        last reference to them. Node values stay readable.
+        last reference to them, and a node the caller keeps (the loss, say)
+        no longer reaches the values of the nodes it was computed from. Node
+        values stay readable.
         """
         for node in self.nodes:
             node._backward = None
             node.grad = None
+            node.parents = ()
         self.nodes.clear()
 
 
@@ -164,7 +185,9 @@ def _accumulate(parent: Node, term: np.ndarray, owned: bool = False):
     """Add ``term`` to ``parent.grad``, creating the gradient on first write.
 
     ``owned=True`` says the caller allocated ``term`` for this call and keeps
-    no other reference to it, so a C-ordered term becomes the gradient as is.
+    no other reference to it, or took it from a work buffer that nothing
+    writes again before the next forward pass, so a C-ordered term becomes
+    the gradient as is.
     Any other first term is copied, in C order even for a transposed view:
     the elementwise Adam update runs about a third slower on a
     Fortran-ordered gradient.

@@ -80,14 +80,55 @@ def _span(run: list[slice]) -> slice:
     return slice(run[0].start, run[-1].stop)
 
 
-def _with_scratch(runs: list[list[slice]], cols: int, count: int) -> list:
+class Buffers:
+    """Float64 work arrays that one ``model.train`` call reuses in every
+    iteration, each under a key of its own.
+
+    ``array(key, rows, cols)`` gives a C-ordered rows x cols view of the
+    key's memory, allocated in the calling thread on the key's first use
+    and again only when a larger array is asked for, so from the second
+    iteration on every request gets the memory of the first. Freeing these
+    arrays between iterations cost page faults instead: glibc trims the
+    freed top of the heap, and the next iteration faults it back in.
+
+    The contents are what the key's last user wrote, and no two keys share
+    memory. Block scratch that nothing keeps once the call that took it
+    returns shares the key ``"scratch"`` (``_with_scratch``), since those
+    calls run one after another; an array kept from one call to another
+    has a key of its own. Each ``train`` call makes its own: no two calls,
+    in one thread or two, share one.
+    """
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def array(self, key, rows: int, cols: int) -> np.ndarray:
+        size = rows * cols
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size)
+        return flat[:size].reshape(rows, cols)
+
+
+def _work_array(buffers: Buffers | None, key, rows: int, cols: int) -> np.ndarray:
+    """``buffers.array(key, rows, cols)``, or a fresh array without ``buffers``."""
+    if buffers is None:
+        return np.empty((rows, cols))
+    return buffers.array(key, rows, cols)
+
+
+def _with_scratch(
+    runs: list[list[slice]], cols: int, count: int, buffers: Buffers | None = None, key="scratch"
+) -> list:
     """Each run paired with ``count`` arrays as large as its first (and
     largest) block, ``cols`` wide, to work in: allocated here, in the
-    calling thread, so the worker thread's own heap stays small."""
-    return [
-        (run, [np.empty((run[0].stop - run[0].start, cols)) for _ in range(count)])
-        for run in runs
-    ]
+    calling thread, so the worker thread's own heap stays small, and taken
+    from ``buffers`` under ``key`` when given."""
+    out = []
+    for r, run in enumerate(runs):
+        rows = run[0].stop - run[0].start
+        out.append((run, [_work_array(buffers, (key, r, i), rows, cols) for i in range(count)]))
+    return out
 
 
 # the thread variables of OpenBLAS and MKL, and OpenMP's, which either reads
@@ -173,6 +214,14 @@ class EdgeSupport:
     the CSR row pointer, ``twin[e]`` the edge (``cols[e]``, ``rows[e]``),
     which the symmetrized support always holds, and ``views`` each input
     matrix's values on the edges, as 1 x nnz rows.
+
+    ``buffers``, if set, holds the work arrays that refinement and node
+    selection reuse in every forward and backward pass on this support
+    (``Buffers``). ``model.train`` sets it on the support each call builds
+    and runs one pass at a time on it: a refinement gradient lives in its
+    buffer until the next forward pass, and selection's backward pass reads
+    a block its forward pass left there. Without it, every pass allocates
+    its own.
     """
 
     num_nodes: int
@@ -182,6 +231,7 @@ class EdgeSupport:
     indptr: np.ndarray
     twin: np.ndarray
     views: tuple
+    buffers: Buffers | None = None
 
     @classmethod
     def of(cls, matrices) -> EdgeSupport:

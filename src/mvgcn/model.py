@@ -30,7 +30,7 @@ reruns, and loading it runs no code. Formats 1 and 2 are refused.
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from .fileio import atomic_open
 from .fusion import FusionResult, edge_support, fuse_views, init_fusion_weights
 from .graph_learning import init_glm_params, refine_graph
-from .graphs import EdgeSupport, Graph, _in_row_runs, _row_runs, _with_scratch
+from .graphs import Buffers, EdgeSupport, Graph, _in_row_runs, _row_runs, _with_scratch
 from .selection import SelectionResult, differentiable_node_selection, hard_topk_edges
 
 ADAM_BETA1 = 0.9
@@ -260,14 +260,18 @@ def _finite_rows(g, run) -> bool:
     return all(np.isfinite(g[rows]).all() for rows in run)
 
 
-def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> ModelState:
+def adam_step(
+    state: ModelState, grads: dict[str, np.ndarray], lr: float, buffers: Buffers | None = None
+) -> ModelState:
     """Bias-corrected Adam update for every parameter, in place.
 
     Each parameter is updated a block of rows at a time
     (``graphs._ROW_BLOCK_ENTRIES``): two scratch arrays the size of one block
     hold the intermediates, and the moments and the parameter are updated
-    where they lie. Each operation is one the textbook formula takes, in the
-    same order, so the result is the same to the bit. The blocks make at
+    where they lie. The scratch comes from ``buffers`` if given, so that
+    the steps of one training run reuse it, and is fresh otherwise. Each
+    operation is one the textbook formula takes, in the same order, so the
+    result is the same to the bit. The blocks make at
     most two runs (``graphs._row_runs``), the second in the worker thread
     (``graphs._in_row_runs``), each with its own scratch; every row is
     updated the same way in either run. A gradient is checked for non-finite
@@ -286,9 +290,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], lr: float) -> Mod
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         first, second = state.first_moment[name], state.second_moment[name]
         update = partial(_adam_rows, p, g, first, second, lr, t)
-        # the scratch goes as soon as the runs end: held over into the next
-        # parameter's update it cost page faults, 0.77 -> 1.24 ms a step at m=200
-        if not all(_in_row_runs(update, _with_scratch(runs, p.shape[1], 2))):
+        scratch = _with_scratch(runs, p.shape[1], 2, buffers)
+        if not all(_in_row_runs(update, scratch)):
             raise TrainingError(f"parameter {name!r} became non-finite at step {t}")
     return state
 
@@ -312,6 +315,19 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     Y = np.zeros((labels.shape[0], classes))
     Y[np.arange(labels.shape[0]), labels] = 1.0
     return Y
+
+
+def _sample_indices(idx, m: int, name: str) -> np.ndarray:
+    """``idx`` as an index array, refused unless it is a non-empty 1-D
+    array of integers in [0, m)."""
+    arr = np.asarray(idx)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError(f"{name} must be a non-empty 1-D array of sample indices")
+    if arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= m:
+        raise ParameterError(f"{name} holds indices outside [0, {m}) for {m} samples")
+    return arr.astype(int, copy=False)
 
 
 @dataclass
@@ -345,15 +361,31 @@ def train(
     on the labeled rows, accuracy on the evaluation rows), all measured at
     the parameters in force when the iteration started. ``callback``, if
     given, sees (iteration, forward_pass, loss_value, state) at the same
-    moment, before the update.
+    moment, before the update. It must not write ``state``: the tape's
+    parameter leaves are views of ``state.params``, and the backward sweep
+    still reads them (``autodiff.Tape.leaf``).
+
+    ``labeled_idx`` and ``eval_idx`` (by default every sample not labeled)
+    must each be a non-empty 1-D array of sample indices in range; a bad
+    one is refused before the first forward pass.
+
+    A call holds eight m x m arrays: S1, S2, their four Adam moments and
+    their two gradients, whose buffers refinement's run products share.
+    The gradients and the block scratch of refinement, node selection and
+    Adam are allocated in the first iteration and reused in every later one
+    (``graphs.Buffers``), and each iteration's gradients are dropped once
+    Adam has used them.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
     labels = np.asarray(labels, dtype=int)
-    labeled_idx = np.asarray(labeled_idx, dtype=int)
+    m = labels.shape[0]
+    labeled_idx = _sample_indices(labeled_idx, m, "labeled_idx")
     if eval_idx is None:
-        eval_idx = np.setdiff1d(np.arange(labels.shape[0]), labeled_idx)
-    eval_idx = np.asarray(eval_idx, dtype=int)
+        eval_idx = np.setdiff1d(np.arange(m), labeled_idx)
+        if eval_idx.size == 0:
+            raise ParameterError("eval_idx defaults to the samples not labeled, but all are labeled")
+    eval_idx = _sample_indices(eval_idx, m, "eval_idx")
     Y = one_hot(labels, classes)
 
     rng = np.random.default_rng(seed)
@@ -367,7 +399,8 @@ def train(
         layers=layers,
     )
 
-    support = edge_support(views)
+    # work buffers of this call alone, reused in every iteration
+    support = replace(edge_support(views), buffers=Buffers())
     history = []
     Z_value = None
     for iteration in range(1, epochs + 1):
@@ -382,8 +415,8 @@ def train(
             callback(iteration, fwd, loss_value, state)
         Z_value = fwd.probabilities.value.copy()
         tape.backward(loss)
-        grads = {name: leaf.grad for name, leaf in leaves.items()}
-        adam_step(state, grads, lr)
+        # the leaves are views of state.params, which Adam writes only now
+        adam_step(state, {name: leaf.grad for name, leaf in leaves.items()}, lr, support.buffers)
         tape.release()
         history.append(
             (
@@ -402,7 +435,11 @@ def predict(
     features: np.ndarray,
     **forward_kwargs,
 ) -> np.ndarray:
-    """Class probabilities under the given parameters, off the training loop."""
+    """Class probabilities under the given parameters, off the training loop.
+
+    The parameter leaves are views of ``state.params``, so the call holds
+    no copy of S1 or S2; refinement's run products are its one m x m array.
+    """
     tape = NoGradTape()
     leaves = {name: tape.leaf(p) for name, p in state.params.items()}
     support = edge_support(views)

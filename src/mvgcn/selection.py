@@ -32,14 +32,16 @@ relaxed permutation P, 2^P and the gain over blocks of rows
 row-local and gives the bits of the m x m formulas. The blocks make at most
 two runs (``graphs._row_runs``), the second in the worker thread
 (``graphs._in_row_runs``); each run works in its own block-sized scratch
-arrays and writes only its own rows. Between the passes the op keeps the m
-gap sums, the last block of P and the gate's scale on the edges; the
-backward rule recomputes the other blocks of P from the scores, so an m
-that fits in one block recomputes only 2^P. Each block gives its
-rank-weighted and plain column sums of the logits' gradient, and these are
-added across the blocks in one fixed order, last block first, whichever run
-made them. The returned ``SelectionResult`` builds the m x m permutation and
-edge coefficients only when asked for them. The hard top-k variant at the
+arrays, from the support's ``buffers`` when it has them, and writes only
+its own rows. Between the passes the op keeps the m gap sums, the last
+block of P (in scratch of its own, which no other step takes) and the
+gate's scale on the edges; the backward rule recomputes the other blocks of
+P from the scores, so an m that fits in one block recomputes only 2^P.
+Each block gives its rank-weighted and plain column sums of the logits'
+gradient, and these are added across the blocks in one fixed order, last
+block first, whichever run made them. The returned ``SelectionResult``
+builds the m x m permutation and edge coefficients only when asked for
+them. The hard top-k variant at the
 bottom ranks the edges within each CSR row; its m x m counterpart,
 ``hard_topk_baseline``, is kept as the reference.
 """
@@ -57,7 +59,7 @@ from .autodiff import (
     _softmax_rows_grad,
 )
 from .errors import DomainError, ParameterError, ShapeError
-from .graphs import EdgeSupport, _in_row_runs, _row_runs, _smallest_k_mask, _with_scratch
+from .graphs import Buffers, EdgeSupport, _in_row_runs, _row_runs, _smallest_k_mask, _with_scratch
 
 _LOG2 = float(np.log(2.0))
 
@@ -97,9 +99,10 @@ def _ranks(m: int) -> np.ndarray:
     return (m + 1 - 2 * np.arange(1, m + 1, dtype=float)).reshape(m, 1)
 
 
-def _gap_sums(a: np.ndarray) -> np.ndarray:
+def _gap_sums(a: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
     """sum_j |a[i] - a[j]| for every i, a block of rows at a time in the
-    row runs; each sum has the bits of ``pairwise_difference(a).sum(axis=1)``."""
+    row runs, in scratch from ``buffers`` if given; each sum has the bits of
+    ``pairwise_difference(a).sum(axis=1)``."""
     out = np.empty(a.size)
 
     def run_sums(item):
@@ -109,7 +112,7 @@ def _gap_sums(a: np.ndarray) -> np.ndarray:
             np.abs(gaps, out=gaps)
             out[rows] = gaps.sum(axis=1)
 
-    _in_row_runs(run_sums, _with_scratch(_row_runs(a.size, a.size), a.size, 1))
+    _in_row_runs(run_sums, _with_scratch(_row_runs(a.size, a.size), a.size, 1, buffers))
     return out
 
 
@@ -277,7 +280,7 @@ def differentiable_node_selection(
         raise ShapeError(f"edge values of shape {A.shape} do not match {support.nnz} edges")
     m = support.num_nodes
     a_s, inverse_counts = _column_means(A, support)
-    gap_sums = _gap_sums(a_s[0])
+    gap_sums = _gap_sums(a_s[0], support.buffers)
     runs = _row_runs(m, m)
     last = runs[-1][-1]
     raw = np.empty((1, m))
@@ -291,8 +294,9 @@ def differentiable_node_selection(
             raw[:, rows] = _discounted_gain(exp2_P, out=exp2_P)
         return P_rows
 
-    # the last block of P, which the backward rule starts from
-    P = _in_row_runs(run_gains, _with_scratch(runs, m, 2))[-1]
+    # the last block of P, which the backward rule starts from, in scratch
+    # of its own
+    P = _in_row_runs(run_gains, _with_scratch(runs, m, 2, support.buffers, "select"))[-1]
     ibar = normalize_confidence(raw)
     selected, scale, theta, peak = _gate_edges(A, ibar, raw_theta.value, support)
     out = Node(selected, (adj, raw_theta), "select", tape)
@@ -356,7 +360,7 @@ def differentiable_node_selection(
                 sums.append((ranks[rows] @ d_logits, d_logits.sum(axis=0)))
             return sums
 
-        per_run = _in_row_runs(run_sums, _with_scratch(runs, m, 3))
+        per_run = _in_row_runs(run_sums, _with_scratch(runs, m, 3, support.buffers))
         *block_sums, (d_scores, d_gaps) = [b for sums in per_run for b in sums]
         for rank_sums, sums in reversed(block_sums):
             d_scores += rank_sums

@@ -175,6 +175,23 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_leaf_is_a_read_only_view_of_its_input(self):
+        x = np.random.default_rng(7).normal(size=(3, 4))
+        w = ad.Tape().leaf(x)
+        assert np.shares_memory(w.value, x)
+        with pytest.raises(ValueError, match="read-only"):
+            w.value[0, 0] = 1.0
+        x[0, 0] = 5.0  # the caller's array stays writeable
+        assert w.value[0, 0] == 5.0
+
+    def test_leaf_of_another_dtype_or_layout_views_a_converted_copy(self):
+        x = np.arange(12).reshape(4, 3)
+        for value in (x, x.T.astype(float)):
+            w = ad.Tape().leaf(value)
+            assert not np.shares_memory(w.value, value) and w.value.flags.c_contiguous
+            np.testing.assert_array_equal(w.value, value)
+            assert not w.value.flags.writeable
+
     def test_no_grad_tape_frees_intermediates_and_refuses_backward(self):
         x0 = np.random.default_rng(6).normal(size=(4, 4))
         ref = ad.Tape()

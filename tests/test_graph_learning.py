@@ -306,8 +306,9 @@ class TestSupportLayout:
         for got, ref in ((g1, want1), (g2, want2)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    # block_rows: the default blocks (one run at these sizes), or 7-row
-    # blocks, which make two runs, each building the CSR of its own rows
+    # block_rows: the default blocks (one run and one block at these sizes),
+    # or 7-row blocks, which make two runs of several blocks, each block
+    # building the CSR of its own rows
     @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("case", SPARSE_CASES)
     def test_score_gradient_on_the_support_is_the_dense_one_bit_for_bit(
@@ -329,10 +330,10 @@ class TestSupportLayout:
         monkeypatch.setattr(graphs, "_use_worker", lambda: False)
         run_refine(F, S1, S2, gamma, G)
         runs = graphs._row_runs(m, m)
-        assert len(seen) == len(runs) == (1 if block_rows is None else 2)
-        assert [shape for _, shape in seen] == [
-            (graphs._span(run).stop - graphs._span(run).start, m) for run in runs
-        ]
+        blocks = [rows for run in runs for rows in run]
+        assert len(runs) == (1 if block_rows is None else 2)
+        assert len(seen) == len(blocks)
+        assert [shape for _, shape in seen] == [(rows.stop - rows.start, m) for rows in blocks]
         dP, cols, indptr = (np.concatenate(part) for part in zip(*(arg for arg, _ in seen)))
         rows = np.repeat(np.arange(m), np.concatenate([np.diff(p) for (_, _, p), _ in seen]))
         # the op takes P a run of rows at a time, which may round otherwise

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +538,131 @@ class TestTrain:
         with pytest.raises(TypeError, match="bogus"):
             train(graphs, features, labels, 2, [0, 6], seed=3, epochs=2, hidden=4, bogus=1)
         assert steps == []
+
+    @pytest.mark.parametrize(
+        "labeled,eval_idx,refused",
+        [
+            (np.arange(40), None, "eval_idx"),  # every sample labeled
+            ([0, 20], [], "eval_idx"),
+            ([0, 20], [45], "eval_idx"),
+            ([0, 20], [-1], "eval_idx"),
+            ([0, 20], [1.0, 2.0], "eval_idx"),
+            ([], None, "labeled_idx"),
+            ([0, 40], None, "labeled_idx"),
+            ([0.0, 20.0], None, "labeled_idx"),
+            ([[0, 20]], None, "labeled_idx"),
+        ],
+    )
+    def test_bad_index_sets_are_refused_before_the_first_forward_pass(
+        self, monkeypatch, labeled, eval_idx, refused
+    ):
+        graphs, features, labels = toy_instance(16, m=40)
+        calls = []
+        monkeypatch.setattr(model_module, "forward", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ParameterError, match=refused):
+            train(graphs, features, labels, 2, labeled, seed=3, epochs=2, hidden=4, k=3, eval_idx=eval_idx)
+        assert calls == []
+
+    def test_parameter_leaves_are_read_only_views_of_the_state(self):
+        graphs, features, labels = toy_instance(16, m=12)
+        checked = []
+
+        def callback(iteration, fwd, loss_value, state):
+            leaves = [n for n in fwd.probabilities.tape.nodes if n.op == "leaf"]
+            for name, p in state.params.items():
+                views = [n for n in leaves if np.shares_memory(n.value, p)]
+                assert len(views) == 1 and not views[0].value.flags.writeable, name
+            checked.append(iteration)
+
+        train(graphs, features, labels, 2, [0, 6], seed=3, epochs=3, hidden=4, k=3, callback=callback)
+        assert checked == [1, 2, 3]
+
+    def test_adam_writes_the_parameters_only_after_the_sweep_returns(self, monkeypatch):
+        graphs, features, labels = toy_instance(16, m=12)
+        events, backward = [], Tape.backward
+
+        def logged_backward(self, loss):
+            events.append("backward")
+            grads = backward(self, loss)
+            events.append("returned")
+            return grads
+
+        def logged_adam(*args):
+            events.append("adam")
+            return adam_step(*args)
+
+        monkeypatch.setattr(Tape, "backward", logged_backward)
+        monkeypatch.setattr(model_module, "adam_step", logged_adam)
+        train(graphs, features, labels, 2, [0, 6], seed=3, epochs=3, hidden=4, k=3)
+        assert events == ["backward", "returned", "adam"] * 3
+
+    def test_released_loss_node_reaches_no_other_node(self):
+        graphs, features, labels = toy_instance(16, m=12)
+        state = init_model(2, 12, features.shape[1], 4, 2, np.random.default_rng(0))
+        tape = Tape()
+        leaves = {name: tape.leaf(p) for name, p in state.params.items()}
+        fwd = forward(tape, leaves, edge_support(graphs), features, k=3)
+        loss = masked_cross_entropy(fwd.probabilities, one_hot(labels, 2), [0, 6])
+        tape.backward(loss)
+        tape.release()
+        reached, stack = [], list(loss.parents)
+        while stack:
+            node = stack.pop()
+            reached.append(node)
+            stack.extend(node.parents)
+        assert reached == []
+
+    @pytest.mark.parametrize("dns_mode,use_glm", [("soft", True), ("soft", False), ("hard-topk", True)])
+    def test_reused_buffers_give_the_bits_of_fresh_arrays(self, monkeypatch, dns_mode, use_glm):
+        # the loop of ``train`` on a support without buffers, so every pass
+        # allocates its own; 5-row blocks make two row runs of three blocks
+        monkeypatch.setattr(graphs_module, "_ROW_BLOCK_ENTRIES", 5 * 30)
+        graphs, features, labels = toy_instance(19, m=30)
+        labeled, settings = np.array([0, 7, 15, 22]), {"dns_mode": dns_mode, "use_glm": use_glm, "k": 3}
+        result = train(graphs, features, labels, 2, labeled, seed=5, epochs=6, hidden=4, **settings)
+
+        state = init_model(2, 30, features.shape[1], 4, 2, np.random.default_rng(5))
+        support, Y = edge_support(graphs), one_hot(labels, 2)
+        eval_idx = np.setdiff1d(np.arange(30), labeled)
+        history = []
+        for iteration in range(1, 7):
+            tape = Tape()
+            leaves = {name: tape.leaf(p) for name, p in state.params.items()}
+            Z = forward(tape, leaves, support, features, **settings).probabilities
+            loss = masked_cross_entropy(Z, Y, labeled)
+            tape.backward(loss)
+            adam_step(state, {name: leaf.grad for name, leaf in leaves.items()}, 0.1)
+            history.append(
+                (
+                    iteration,
+                    float(loss.value[0, 0]),
+                    evaluate(Z.value, labels, labeled),
+                    evaluate(Z.value, labels, eval_idx),
+                )
+            )
+        assert result.history == history
+        for name, p in state.params.items():
+            assert result.state.params[name].tobytes() == p.tobytes()
+
+    def test_concurrent_runs_do_not_share_work_buffers(self, monkeypatch):
+        # 6-row blocks make two row runs of several blocks each at m=30
+        monkeypatch.setattr(graphs_module, "_ROW_BLOCK_ENTRIES", 6 * 30)
+        graphs, features, labels = toy_instance(18, m=30)
+        seeds = [1, 2, 3, 4]
+
+        def run(seed):
+            return train(graphs, features, labels, 2, [0, 15], seed=seed, epochs=8, hidden=4, k=3)
+
+        alone = [run(seed).history for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [pool.submit(run, seed) for seed in seeds]
+                together = [f.result(timeout=60).history for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone
 
     def test_train_and_predict_leave_no_cyclic_garbage(self):
         # Each iteration's tape is freed when the next one starts, so peak
