@@ -32,7 +32,7 @@ from .experiment import (
 )
 from .fileio import atomic_open
 from .fusion import normalize_weights, view_importance
-from .graphs import METRICS, Graph
+from .graphs import METRICS, Graph, _asymmetric_edges, _first_misplaced_edge
 from .model import evaluate, load_checkpoint, predict, save_checkpoint
 
 GRAPH_MANIFEST = "manifest.json"
@@ -61,24 +61,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _edge_list(adjacency: np.ndarray) -> str:
-    """The header, then one ``row,col,value`` line per nonzero entry in
-    row-major order, values as ``%.17g`` so they read back to the same bits.
-    One ``%`` format over the whole view: ``np.savetxt`` makes a Python call
-    per row."""
-    rows, cols = np.nonzero(adjacency)
+def _edge_list(graph: Graph) -> str:
+    """The header, then one ``row,col,value`` line per edge in row-major
+    order, values as ``%.17g`` so they read back to the same bits. One ``%``
+    format over the whole view: ``np.savetxt`` makes a Python call per row."""
+    rows, cols = np.divmod(graph.flat, graph.num_nodes)
     cells = [None] * (3 * len(rows))
     cells[0::3] = rows.tolist()
     cells[1::3] = cols.tolist()
-    cells[2::3] = adjacency[rows, cols].tolist()
+    cells[2::3] = graph.values.tolist()
     return f"{EDGE_HEADER}\n" + ("%d,%d,%.17g\n" * len(rows)) % tuple(cells)
 
 
 def save_prepared_graphs(out_dir, graphs: list[Graph], k: int, metric: str) -> None:
-    """Each renormalized adjacency as an edge list, plus a checksummed manifest.
+    """Each renormalized graph as an edge list, plus a checksummed manifest.
 
     ``view_<v>.csv`` holds the header ``row,col,value`` and one line per
-    nonzero entry of view v, self-loops included, in row-major order; values
+    edge of view v, self-loops included, in row-major order; values
     are written as ``%.17g`` and read back to the same bits. ``manifest.json``
     (graph format 2) records ``format``, ``k``, ``metric``, ``num_views``,
     ``nodes`` and the sha256 of each view file. Every file is written
@@ -90,7 +89,7 @@ def save_prepared_graphs(out_dir, graphs: list[Graph], k: int, metric: str) -> N
     for v, g in enumerate(graphs):
         name = f"view_{v}.csv"
         with atomic_open(out / name, newline="") as fh:
-            text = _edge_list(g.adjacency)
+            text = _edge_list(g)
             fh.write(text)
         files[name] = _sha256(text.encode("utf-8"))
     manifest = {
@@ -173,8 +172,8 @@ def _refuse_first(path: Path, bad: np.ndarray, what) -> None:
         raise DataLoadError(f"{path}: line {e + 2}: {what(e)}")
 
 
-def _read_edge_list(path: Path, data: bytes, nodes: int) -> np.ndarray:
-    """The dense nodes x nodes adjacency that an edge list holds."""
+def _read_edge_list(path: Path, data: bytes, nodes: int) -> Graph:
+    """The renormalized graph that an edge list holds."""
     lines = data.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -189,30 +188,24 @@ def _read_edge_list(path: Path, data: bytes, nodes: int) -> np.ndarray:
     )
     rows, cols = index.astype(np.int64).T
     flat = rows * nodes + cols
-    _refuse_first(
-        path,
-        np.concatenate(([False], np.diff(flat) <= 0)),
-        lambda e: f"edge ({rows[e]}, {cols[e]}) repeats or is out of row-major order",
-    )
-    values = table[:, 2]
+    e = _first_misplaced_edge(flat, nodes)
+    if e is not None:
+        raise DataLoadError(
+            f"{path}: line {e + 2}: edge ({rows[e]}, {cols[e]}) repeats or is out of row-major order"
+        )
+    values = table[:, 2].copy()  # not a view that keeps the table alive
     _refuse_first(
         path,
         ~(np.isfinite(values) & (values > 0)),
         lambda e: f"value is not finite and positive: {lines[e + 1]!r}",
     )
-    # flat is strictly increasing, so a sorted search finds each twin; for
-    # finite positive values, equal means the same bits
-    twin_flat = cols * nodes + rows
-    twin = np.minimum(np.searchsorted(flat, twin_flat), len(flat) - 1)
     _refuse_first(
         path,
-        (flat[twin] != twin_flat) | (values[twin] != values),
+        _asymmetric_edges(flat, values, nodes),
         lambda e: f"edge ({rows[e]}, {cols[e]}) has no twin ({cols[e]}, {rows[e]}) "
         "with the same value",
     )
-    adjacency = np.zeros((nodes, nodes))
-    adjacency[rows, cols] = values
-    return adjacency
+    return Graph(nodes, flat, values, renormalized=True)
 
 
 def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
@@ -228,7 +221,7 @@ def load_prepared_graphs(graph_dir, cfg: RunConfig) -> list[Graph]:
         data = path.read_bytes()
         if _sha256(data) != manifest["files"][name]:
             raise DataLoadError(f"checksum mismatch for {name}; refusing to load")
-        graphs.append(Graph(_read_edge_list(path, data, manifest["nodes"]), renormalized=True))
+        graphs.append(_read_edge_list(path, data, manifest["nodes"]))
     return graphs
 
 

@@ -9,7 +9,7 @@ gradient reaches the raw mixing weights through c. The complementary graphs
 themselves are never formed (the tests' ``dense_reference`` builds them).
 
 The fused adjacency is a 1 x nnz row of edge values on the views'
-``EdgeSupport`` (``edge_support``), the union of their nonzero entries:
+``EdgeSupport`` (``edge_support``), the union of their edges and twins:
 every view is zero off it, so the fused graph is too, and each edge holds
 the bits the m x m weighted sum holds there. Its gradient lives on the
 same edges.
@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .errors import ParameterError, ShapeError
-from .graphs import EdgeSupport, Graph
+from .graphs import EdgeSupport, Graph, _check_edges, _column_order
 
 
 def normalize_weights(raw: Node) -> Node:
@@ -37,13 +37,14 @@ def _check_views(views: list[Graph]) -> None:
     if not views:
         raise ParameterError("need at least one view")
     m = views[0].num_nodes
-    for g in views:
+    for v, g in enumerate(views):
         if g.num_nodes != m:
             raise ShapeError(
                 f"views disagree on node count: {g.num_nodes} vs {m}"
             )
         if not g.renormalized:
             raise ParameterError("fusion expects renormalized per-view graphs")
+        _check_edges(g, f"view {v}")
 
 
 def _check_weights(W: Node, num_views: int) -> None:
@@ -55,9 +56,29 @@ def _check_weights(W: Node, num_views: int) -> None:
 
 def edge_support(views: list[Graph]) -> EdgeSupport:
     """The edge support of the renormalized per-view graphs, with each
-    view's values on it."""
+    view's values on it: the union of their edges and of the edges' twins,
+    taken on one m x m bool mask."""
     _check_views(views)
-    return EdgeSupport.of([g.adjacency for g in views])
+    m = views[0].num_nodes
+    union = np.zeros((m, m), dtype=bool)
+    marked = union.reshape(-1)
+    for g in views:
+        marked[g.flat] = True
+    union |= union.T
+    flat = np.flatnonzero(union)
+    rows, cols = np.divmod(flat, m)
+    marked[:] = False
+    placed = []
+    for g in views:
+        # a view's edges are a sorted subset of ``flat``: marked, read off, cleared
+        marked[g.flat] = True
+        values = np.zeros(flat.size)
+        values[np.flatnonzero(marked[flat])] = g.values
+        marked[g.flat] = False
+        placed.append(values.reshape(1, -1))
+    indptr = np.searchsorted(rows, np.arange(m + 1))
+    # the support is symmetric: the k-th edge in column-major order is edge k's twin
+    return EdgeSupport(m, rows, cols, flat, indptr, _column_order(cols, m), tuple(placed))
 
 
 def view_importance(W: Node) -> Node:

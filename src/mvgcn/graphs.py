@@ -5,7 +5,8 @@ Each point's k nearest neighbours come from one row-wise partition of the
 distance matrix: every distance below the row's k-th smallest is taken, and
 the remaining places go to the entries equal to it, lowest sample index
 first. The chosen set is the first k entries of the row's stable argsort,
-bit for bit, without sorting any row.
+bit for bit, without sorting any row. Each graph is carried as its edges
+(``Graph``), never as an m x m float array.
 
 Fusion, refinement and node selection only ever scale entries where some
 view is nonzero, so the graphs they produce are carried as edge values on
@@ -192,28 +193,29 @@ def _in_row_runs(fn, runs: list) -> list:
     return [first, second.result()]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Dense symmetric non-negative adjacency with a renormalization flag."""
+    """A symmetric non-negative m x m adjacency as its edges, with a
+    renormalization flag: ``flat`` holds the row-major flat indices
+    (row * m + col) of its entries in ascending order and ``values`` their
+    values, the layout of ``EdgeSupport.flat``; every other entry is zero."""
 
-    adjacency: np.ndarray
+    num_nodes: int
+    flat: np.ndarray
+    values: np.ndarray
     renormalized: bool = False
-
-    @property
-    def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeSupport:
-    """The entries where any of some m x m matrices, or its transpose, is
-    nonzero, in row-major order.
+    """The edges of some graphs and their twins, in row-major order
+    (``fusion.edge_support``).
 
     Edge e is (``rows[e]``, ``cols[e]``), at flat index ``flat[e]`` of an
     m x m array: rows ascend, and columns ascend within a row. ``indptr`` is
     the CSR row pointer, ``twin[e]`` the edge (``cols[e]``, ``rows[e]``),
     which the symmetrized support always holds, and ``views`` each input
-    matrix's values on the edges, as 1 x nnz rows.
+    graph's values on the edges, as 1 x nnz rows.
 
     ``buffers``, if set, holds the work arrays that refinement and node
     selection reuse in every forward and backward pass on this support
@@ -232,32 +234,6 @@ class EdgeSupport:
     twin: np.ndarray
     views: tuple
     buffers: Buffers | None = None
-
-    @classmethod
-    def of(cls, matrices) -> EdgeSupport:
-        arrays = [np.asarray(x, dtype=np.float64) for x in matrices]
-        if not arrays:
-            raise ParameterError("an edge support needs at least one matrix")
-        m = arrays[0].shape[0]
-        for x in arrays:
-            if x.shape != (m, m):
-                raise ShapeError(f"matrix shapes {[x.shape for x in arrays]} are not one square shape")
-        nz = arrays[0] != 0
-        for x in arrays[1:]:
-            nz |= x != 0
-        nz |= nz.T
-        flat = np.flatnonzero(nz)
-        rows, cols = np.divmod(flat, m)
-        return cls(
-            num_nodes=m,
-            rows=rows,
-            cols=cols,
-            flat=flat,
-            indptr=np.searchsorted(rows, np.arange(m + 1)),
-            # the k-th smallest transposed index is flat[k], the twin of edge k
-            twin=np.argsort(cols * m + rows),
-            views=tuple(x.take(flat).reshape(1, -1) for x in arrays),
-        )
 
     @property
     def nnz(self) -> int:
@@ -313,8 +289,8 @@ def pairwise_distances(features: np.ndarray, metric: str = "euclidean") -> np.nd
         norms = np.linalg.norm(features, axis=1)
         safe = np.where(norms > 0, norms, 1.0)
         unit = features / safe[:, None]
-        sim = unit @ unit.T
-        return 1.0 - np.clip(sim, -1.0, 1.0)
+        dist = unit @ unit.T  # clipped and subtracted in place: one m x m array
+        return np.subtract(1.0, np.clip(dist, -1.0, 1.0, out=dist), out=dist)
     raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
@@ -325,7 +301,7 @@ def _smallest_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     ``values`` must hold no NaN; -0.0 equals 0.0 and inf equals inf, as in
     the sort.
     """
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partition
     below = values < kth
     tied = values == kth
     # the places left after the strictly smaller entries go to the first ties;
@@ -342,7 +318,7 @@ def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> 
     Point i's neighbours are the first k entries of the stable argsort of
     its distance row, so a tie in distance goes to the lower sample index.
     They are read off one row-wise partition without sorting (module
-    docstring). Features must be finite.
+    docstring) and symmetrized on an m x m bool mask. Features must be finite.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -356,29 +332,91 @@ def build_knn_graph(features: np.ndarray, k: int, metric: str = "euclidean") -> 
     dist = pairwise_distances(X, metric)
     np.fill_diagonal(dist, np.inf)
     nearest = _smallest_k_mask(dist, k)
-    adjacency = (nearest | nearest.T).astype(np.float64)
-    return Graph(adjacency=adjacency, renormalized=False)
+    flat = np.flatnonzero(nearest | nearest.T)
+    return Graph(m, flat, np.ones(flat.size))
+
+
+def _column_order(cols: np.ndarray, num_nodes: int) -> np.ndarray:
+    """A row-major edge list's edges in column-major order, by a stable sort
+    on the column (numpy radix-sorts 16-bit keys)."""
+    return np.argsort(cols.astype(np.uint16) if num_nodes <= 1 << 16 else cols, kind="stable")
+
+
+def _first_misplaced_edge(flat: np.ndarray, num_nodes: int) -> int | None:
+    """The first edge of an edge list that lies outside m x m or does not
+    come after the edge before it, or None: ``flat`` must ascend strictly,
+    as ``Graph.flat`` does. A strictly ascending list is in range if its
+    ends are, so the common case is settled without flagging every edge."""
+    rising = flat[1:] > flat[:-1]
+    if flat.size == 0 or (rising.all() and flat[0] >= 0 and flat[-1] < num_nodes * num_nodes):
+        return None
+    flags = (flat < 0) | (flat >= num_nodes * num_nodes)
+    flags[1:] |= ~rising
+    return int(flags.argmax())
+
+
+def _check_edges(graph: Graph, owner: str) -> None:
+    """Refuses a graph whose edges are not a 1-D integer array with one
+    value each, or are misplaced (``_first_misplaced_edge``), naming
+    ``owner`` and the first misplaced edge as (row, col)."""
+    m, flat = graph.num_nodes, graph.flat
+    if flat.ndim != 1 or flat.dtype.kind not in "iu" or np.shape(graph.values) != flat.shape:
+        raise ShapeError(
+            f"{owner}: edges must be a 1-D integer array with one value each, got "
+            f"{flat.dtype} {flat.shape} edges and {np.shape(graph.values)} values"
+        )
+    e = _first_misplaced_edge(flat, m)
+    if e is not None:
+        raise ParameterError(
+            f"{owner} edge {divmod(int(flat[e]), m)} is out of row-major order or outside {m} x {m}"
+        )
+
+
+def _asymmetric_edges(flat, values, num_nodes: int, atol=0.0, rtol=0.0) -> np.ndarray:
+    """Flags the edges of a sorted edge list whose twin (col, row) holds
+    another value, beyond ``atol + rtol * |twin value|`` as ``np.isclose``
+    measures it (with neither, any other value); a missing twin holds 0."""
+    rows, cols = np.divmod(flat, num_nodes)
+    twin_flat = cols * num_nodes + rows
+    # in column-major order the twins' indices ascend, and a search for
+    # ascending keys runs several times faster than for keys in edge order
+    order = _column_order(cols, num_nodes)
+    twin = np.empty_like(order)
+    twin[order] = np.searchsorted(flat, twin_flat[order])
+    found = flat.take(twin, mode="clip") == twin_flat
+    twin_values = np.where(found, values.take(twin, mode="clip"), 0.0)
+    gap = np.abs(values - twin_values)
+    return ~((values == twin_values) | (gap <= atol + rtol * np.abs(twin_values)))
 
 
 def renormalize(graph: Graph) -> Graph:
-    """Self-loop degree renormalization: with hat(A) = A + I and
-    hat(D) its row-sum diagonal, returns hat(D)^-1/2 hat(A) hat(D)^-1/2.
-    Rejects graphs that are already renormalized.
-    """
+    """Self-loop degree renormalization: with hat(A) = A + I and hat(D) its
+    row-sum diagonal, hat(D)^-1/2 hat(A) hat(D)^-1/2 on the edges of hat(A).
+    Refuses a renormalized graph, and names the first edge out of order
+    (``_check_edges``), NaN, without a twin of the same value
+    (``np.isclose`` with atol 1e-12), or negative. A binary graph's degrees
+    are integers, exact in any order, so its values have the bits of the
+    m x m formula."""
     if graph.renormalized:
         raise ParameterError("graph is already renormalized")
-    A = np.asarray(graph.adjacency, dtype=np.float64)
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"adjacency must be square, got shape {A.shape}")
-    # exact equality settles the common case without allclose's temporaries;
-    # it accepts nothing allclose would refuse (NaN fails both)
-    if not (np.array_equal(A, A.T) or np.allclose(A, A.T, atol=1e-12)):
-        raise ParameterError("adjacency must be symmetric")
-    if np.any(A < 0):
-        raise ParameterError("adjacency must be non-negative")
+    _check_edges(graph, "adjacency")
+    m, flat, values = graph.num_nodes, graph.flat, np.asarray(graph.values, dtype=np.float64)
+    for flags, what in (
+        (np.isnan(values), "is NaN"),
+        (_asymmetric_edges(flat, values, m, 1e-12, 1e-5), "has no twin with the same value"),
+        (values < 0, "is negative"),
+    ):
+        flagged = np.flatnonzero(flags)
+        if flagged.size:
+            raise ParameterError(f"adjacency edge {divmod(int(flat[flagged[0]]), m)} {what}")
 
-    a_hat = A + np.eye(A.shape[0])
-    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    # np.outer keeps the result bitwise symmetric.
-    out = a_hat * np.outer(inv_sqrt_deg, inv_sqrt_deg)
-    return Graph(adjacency=out, renormalized=True)
+    diagonal = np.arange(m) * (m + 1)
+    at = np.searchsorted(flat, diagonal)
+    missing = np.searchsorted(flat, diagonal, side="right") == at
+    flat = np.insert(flat, at[missing], diagonal[missing])
+    a_hat = np.insert(values, at[missing], 0.0)
+    a_hat[np.searchsorted(flat, diagonal)] += 1.0
+    rows, cols = np.divmod(flat, m)
+    inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(rows, weights=a_hat, minlength=m))
+    # inv[r] * inv[c] is the entry of np.outer(inv, inv): bitwise symmetric
+    return Graph(m, flat, a_hat * (inv_sqrt_deg[rows] * inv_sqrt_deg[cols]), renormalized=True)

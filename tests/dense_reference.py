@@ -1,19 +1,23 @@
-"""Fusion, refinement, node selection and the graph convolution over all
-m x m entries, the reference for the package's edge layout. Each stage is a
-tape op with its hand-derived backward rule, so tests can hold the edge
-layout to these values bit for bit and to these gradients within rounding.
+"""The KNN graph, its renormalization, the edge support, fusion,
+refinement, node selection and the graph convolution over all m x m
+entries, the reference for the package's edge layout. Each stage is a tape
+op with its hand-derived backward rule, so tests can hold the edge layout
+to these values bit for bit and to these gradients within rounding.
 
 ``dense_forward`` chains them as ``model.forward`` does, and
 ``complementary_graphs`` forms the per-view graphs that fusion averages.
+``graph_of`` and ``dense_of`` convert between an m x m array and the
+``Graph`` holding its nonzero entries.
 """
 
 import numpy as np
 
 from mvgcn import autodiff as ad
 from mvgcn.autodiff import Node, _accumulate, _same_tape, _sigmoid_array, _softmax_rows_grad
-from mvgcn.fusion import _check_views, _check_weights
+from mvgcn.errors import ParameterError, ShapeError
+from mvgcn.fusion import _check_views, _check_weights, edge_support
 from mvgcn.graph_learning import _score_gradient, _shrinkage_mask
-from mvgcn.graphs import EdgeSupport
+from mvgcn.graphs import EdgeSupport, Graph, _smallest_k_mask, pairwise_distances
 from mvgcn.selection import (
     _LOG2,
     _discounted_gain,
@@ -26,10 +30,79 @@ from mvgcn.selection import (
 )
 
 
+def graph_of(dense, renormalized: bool = False) -> Graph:
+    """The ``Graph`` of an m x m array: its nonzero entries in row-major
+    order."""
+    A = np.asarray(dense, dtype=np.float64)
+    flat = np.flatnonzero(A)
+    return Graph(A.shape[0], flat, A.take(flat), renormalized)
+
+
+def dense_of(graph: Graph) -> np.ndarray:
+    """The m x m array a ``Graph`` holds, zero off its edges."""
+    m = graph.num_nodes
+    out = np.zeros(m * m)
+    out[graph.flat] = graph.values
+    return out.reshape(m, m)
+
+
+def support_of(*matrices) -> EdgeSupport:
+    """``fusion.edge_support`` of some m x m matrices, as renormalized views."""
+    return edge_support([graph_of(x, renormalized=True) for x in matrices])
+
+
 def on_support(*matrices):
     """The edge support of some m x m matrices and each one's edge values."""
-    support = EdgeSupport.of(matrices)
+    support = support_of(*matrices)
     return (support,) + support.views
+
+
+def knn_graph(features, k: int, metric: str = "euclidean") -> np.ndarray:
+    """The binary mutual-max KNN adjacency as an m x m array: point i's
+    neighbours are the first k entries of the stable argsort of its
+    distance row, and A | A^T is taken on the m x m mask."""
+    X = np.asarray(features, dtype=np.float64)
+    dist = pairwise_distances(X, metric)
+    np.fill_diagonal(dist, np.inf)
+    nearest = _smallest_k_mask(dist, k)
+    return (nearest | nearest.T).astype(np.float64)
+
+
+def renormalized(A: np.ndarray) -> np.ndarray:
+    """hat(D)^-1/2 (A + I) hat(D)^-1/2 over all m x m entries, hat(D) the
+    row sums of A + I."""
+    if not (np.array_equal(A, A.T) or np.allclose(A, A.T, atol=1e-12)):
+        raise ParameterError("adjacency must be symmetric")
+    if np.any(A < 0):
+        raise ParameterError("adjacency must be non-negative")
+    a_hat = A + np.eye(A.shape[0])
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+
+
+def union_support(matrices) -> EdgeSupport:
+    """The entries where any of some m x m matrices, or its transpose, is
+    nonzero, taken on m x m masks, with each matrix's values on them."""
+    arrays = [np.asarray(x, dtype=np.float64) for x in matrices]
+    m = arrays[0].shape[0]
+    for x in arrays:
+        if x.shape != (m, m):
+            raise ShapeError(f"matrix shapes {[x.shape for x in arrays]} are not one square shape")
+    nz = arrays[0] != 0
+    for x in arrays[1:]:
+        nz |= x != 0
+    nz |= nz.T
+    flat = np.flatnonzero(nz)
+    rows, cols = np.divmod(flat, m)
+    return EdgeSupport(
+        num_nodes=m,
+        rows=rows,
+        cols=cols,
+        flat=flat,
+        indptr=np.searchsorted(rows, np.arange(m + 1)),
+        twin=np.argsort(cols * m + rows),
+        views=tuple(x.take(flat).reshape(1, -1) for x in arrays),
+    )
 
 
 def complementary_graphs(views, W: Node) -> list[np.ndarray]:
@@ -37,7 +110,7 @@ def complementary_graphs(views, W: Node) -> list[np.ndarray]:
     plain m x m arrays, from renormalized ``Graph`` views."""
     _check_views(views)
     _check_weights(W, len(views))
-    return [sum(w * g.adjacency for w, g in zip(row, views)) for row in W.value]
+    return [sum(w * dense_of(g) for w, g in zip(row, views)) for row in W.value]
 
 
 def fuse(views, raw):
@@ -146,7 +219,7 @@ def gcn_layer(A: Node, H: Node, W: Node, activation: str = "none") -> Node:
 def dense_forward(tape, leaves, views, features, gamma=1.0, tau=0.5):
     """(fused, refined, selected, probabilities) of the default forward
     pass, as m x m nodes."""
-    fused = fuse([g.adjacency for g in views], leaves["raw_weights"])
+    fused = fuse([dense_of(g) for g in views], leaves["raw_weights"])
     refined = refine(fused, leaves["S1"], leaves["S2"], gamma)
     selected, _ = select(refined, leaves["raw_theta"], tau)
     H = tape.leaf(features)

@@ -21,7 +21,7 @@ from mvgcn.data import load_dataset, make_synthetic
 from mvgcn.experiment import prepare_graphs, run_ablation, run_repeats, run_single
 from mvgcn.fusion import edge_support, fuse_views
 from mvgcn.graph_learning import refine_graph
-from mvgcn.graphs import EdgeSupport, build_knn_graph, renormalize
+from mvgcn.graphs import build_knn_graph, renormalize
 from mvgcn.model import (
     forward,
     gcn_layer,
@@ -36,7 +36,7 @@ from mvgcn.selection import (
 )
 
 import oracles
-from dense_reference import complementary_graphs
+from dense_reference import complementary_graphs, dense_of, support_of
 from gradcheck import finite_difference_check
 from kinkfree import smoothness_margin
 
@@ -220,7 +220,7 @@ def test_stage_oracle_equivalence():
         support = edge_support(graphs)
         fusion = fuse_views(support, tape.leaf(raw))
         oW, ocomp, oalpha, ofused = oracles.fusion_chain(
-            [g.adjacency.tolist() for g in graphs], raw.tolist()
+            [dense_of(g).tolist() for g in graphs], raw.tolist()
         )
         track(fusion.weights.value, oW)
         for got, ref in zip(complementary_graphs(graphs, fusion.weights), ocomp):
@@ -231,7 +231,7 @@ def test_stage_oracle_equivalence():
         base = rng.random((6, 6))
         A_f = (base + base.T) / 2.0
         S1, S2 = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-        support = EdgeSupport.of([A_f])
+        support = support_of(A_f)
         refined = refine_graph(
             tape.leaf(support.gather(A_f)), tape.leaf(S1), tape.leaf(S2), 1.3, support
         )
@@ -242,7 +242,7 @@ def test_stage_oracle_equivalence():
 
         sparse = A_f * (rng.random((6, 6)) > 0.3)
         A_hat = (sparse + sparse.T) / 2.0
-        support = EdgeSupport.of([A_hat])
+        support = support_of(A_hat)
         sel = differentiable_node_selection(
             tape.leaf(support.gather(A_hat)), tape.leaf(np.array([[-0.2]])), 0.5, support
         )
@@ -258,7 +258,7 @@ def test_stage_oracle_equivalence():
         track(support.densify(sel.selected.value), oracles.select_edges(A_hat.tolist(), C, theta))
 
         A, H, W = rng.normal(size=(6, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 3))
-        support = EdgeSupport.of([A])
+        support = support_of(A)
         for activation, oracle_activation in (("relu", "relu"), ("softmax-rows", "softmax")):
             out = gcn_layer(
                 tape.leaf(support.gather(A)), tape.leaf(H), tape.leaf(W), support, activation
@@ -288,7 +288,7 @@ def test_symmetry_and_normalization_invariants_during_training():
     dataset = make_synthetic(m=40, num_views=2, classes=3, noise=0.3, seed=1)
     cfg = RunConfig(k=4, hidden_dim=16, epochs=50, label_ratio=0.2, repeats=1)
     graphs = prepare_graphs(dataset, cfg.k, cfg.metric)
-    input_sym = max(float(np.max(np.abs(g.adjacency - g.adjacency.T))) for g in graphs)
+    input_sym = max(float(np.max(np.abs(dense_of(g) - dense_of(g).T))) for g in graphs)
 
     devs = {"sym": 0.0, "rows": 0.0, "alpha": 0.0, "z": 0.0, "calls": 0}
 

@@ -17,9 +17,12 @@ from mvgcn.cli import (
     write_json,
 )
 from mvgcn.config import RunConfig
-from mvgcn.data import load_dataset, make_synthetic, save_dataset
+from mvgcn.data import load_dataset, make_synthetic, save_dataset, standardize_columns
 from mvgcn.graphs import Graph
 from mvgcn.model import config_digest, init_model, load_checkpoint, save_checkpoint
+
+import dense_reference
+from dense_reference import dense_of
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +185,7 @@ class TestPrepare:
     def test_views_are_row_major_edge_lists(self, data_dir, tmp_path):
         out = tmp_path / "graphs"
         run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out)
-        adjacency = experiment.prepare_graphs(load_dataset(data_dir), 3, "euclidean")[0].adjacency
+        adjacency = dense_of(experiment.prepare_graphs(load_dataset(data_dir), 3, "euclidean")[0])
         lines = (out / "view_0.csv").read_text().splitlines()
         assert lines[0] == "row,col,value"
         rows, cols = np.nonzero(adjacency)
@@ -197,9 +200,42 @@ class TestPrepare:
         loaded = load_prepared_graphs(tmp_path, RunConfig(k=10, metric="euclidean"))
         assert len(loaded) == 3
         for got, want in zip(loaded, graphs):
-            assert got.renormalized
-            assert got.adjacency.dtype == want.adjacency.dtype
-            assert np.array_equal(got.adjacency, want.adjacency)
+            assert got.renormalized and got.num_nodes == want.num_nodes == m
+            assert got.flat.dtype == want.flat.dtype and got.values.dtype == want.values.dtype
+            assert got.flat.tobytes() == want.flat.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_prepare_writes_the_files_of_the_dense_oracle(self, tmp_path, metric):
+        # the text of each view's m x m renormalized adjacency, from the
+        # dense construction, one line per nonzero entry
+        dataset = make_synthetic(m=40, num_views=3, classes=4, noise=0.5, seed=7)
+        data, out = tmp_path / "data", tmp_path / "graphs"
+        save_dataset(data, dataset)
+        argv = ("prepare", "--data", data, "--k", 10, "--metric", metric, "--out", out)
+        assert run_cli(*argv) == 0
+        files = {}
+        for v, X in enumerate(load_dataset(data).views):
+            knn = dense_reference.knn_graph(standardize_columns(X), 10, metric)
+            A = dense_reference.renormalized(knn)
+            rows, cols = np.nonzero(A)
+            text = "row,col,value\n" + "".join(
+                "%d,%d,%.17g\n" % (r, c, A[r, c]) for r, c in zip(rows, cols)
+            )
+            assert (out / f"view_{v}.csv").read_bytes() == text.encode("utf-8")
+            files[f"view_{v}.csv"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        manifest = {
+            "files": files, "format": 2, "k": 10, "metric": metric, "nodes": 40, "num_views": 3,
+        }  # fmt: skip
+        want = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert (out / "manifest.json").read_bytes() == want.encode("utf-8")
+        # load, then save: the same bytes
+        again = tmp_path / "again"
+        loaded = load_prepared_graphs(out, RunConfig(k=10, metric=metric))
+        save_prepared_graphs(again, loaded, 10, metric)
+        assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in out.iterdir())
+        for path in out.iterdir():
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_prepared_training_matches_direct(self, data_dir, config_file, tmp_path):
         graphs = tmp_path / "graphs"
@@ -300,7 +336,7 @@ class TestPrepare:
         files = {}
         for v, g in enumerate(experiment.prepare_graphs(load_dataset(data_dir), 3, "euclidean")):
             path = graphs / f"view_{v}.csv"
-            np.savetxt(path, g.adjacency, delimiter=",", fmt="%.17g")
+            np.savetxt(path, dense_of(g), delimiter=",", fmt="%.17g")
             files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
         manifest = {"k": 3, "metric": "euclidean", "num_views": 2, "nodes": 24, "files": files}
         (graphs / "manifest.json").write_text(json.dumps(manifest))
@@ -611,7 +647,7 @@ class TestAtomicWrites:
         assert run_cli("prepare", "--data", data_dir, "--k", 3, "--out", out) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         # the entry "x" cannot be formatted as a value, so the write fails
-        bad = Graph(np.array([[0.5, 0.5], [0.5, "x"]], dtype=object), renormalized=True)
+        bad = Graph(2, np.arange(4), np.array([0.5, 0.5, 0.5, "x"], dtype=object), renormalized=True)
         with pytest.raises(TypeError):
             save_prepared_graphs(out, [bad], 3, "euclidean")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before

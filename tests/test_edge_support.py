@@ -11,11 +11,12 @@ from mvgcn.data import make_synthetic
 from mvgcn.errors import ParameterError, ShapeError
 from mvgcn.experiment import feature_matrix, prepare_graphs
 from mvgcn.fusion import edge_support
-from mvgcn.graphs import EdgeSupport, Graph
+from mvgcn.graphs import Graph
 from mvgcn.model import forward, init_model, masked_cross_entropy, one_hot
 from mvgcn.selection import hard_topk_baseline
 
 import dense_reference
+from dense_reference import graph_of, support_of
 
 
 def random_sparse(rng, m, density):
@@ -27,7 +28,7 @@ class TestEdgeSupport:
         rng = np.random.default_rng(0)
         m = 12
         mats = [random_sparse(rng, m, 0.15) for _ in range(2)]
-        support = EdgeSupport.of(mats)
+        support = support_of(*mats)
         nz = (mats[0] != 0) | (mats[1] != 0)
         rows, cols = np.nonzero(nz | nz.T)
         assert np.array_equal(support.rows, rows) and np.array_equal(support.cols, cols)
@@ -44,7 +45,7 @@ class TestEdgeSupport:
         # more edges than one block of the sampled product
         rng = np.random.default_rng(1)
         m, width = 60, 40
-        support = EdgeSupport.of([random_sparse(rng, m, 0.5)])
+        support = support_of(random_sparse(rng, m, 0.5))
         assert support.nnz * width > 2 * graphs._SDDMM_BLOCK_ENTRIES
         edges = rng.normal(size=(1, support.nnz))
         A = support.densify(edges)
@@ -54,17 +55,40 @@ class TestEdgeSupport:
         assert np.max(np.abs(support.sddmm(G, B) - want)) <= 1e-12
 
     def test_empty_support(self):
-        support = EdgeSupport.of([np.zeros((3, 3))])
+        support = support_of(np.zeros((3, 3)))
         assert support.nnz == 0 and np.array_equal(support.indptr, np.zeros(4))
         assert np.array_equal(support.densify(np.zeros((1, 0))), np.zeros((3, 3)))
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ParameterError):
-            EdgeSupport.of([])
+            edge_support([])
         with pytest.raises(ShapeError):
-            EdgeSupport.of([np.ones((3, 3)), np.ones((4, 4))])
+            support_of(np.ones((3, 3)), np.ones((4, 4)))
         with pytest.raises(ShapeError):
-            EdgeSupport.of([np.ones((3, 4))])
+            edge_support([Graph(3, np.arange(4), np.ones(3), renormalized=True)])
+        with pytest.raises(ShapeError, match="view 0: edges must be a 1-D integer array"):
+            edge_support([Graph(3, np.arange(4.0), np.ones(4), renormalized=True)])
+        with pytest.raises(ShapeError, match="view 0: edges must be a 1-D integer array"):
+            edge_support([Graph(3, np.arange(4).reshape(2, 2), np.ones((2, 2)), renormalized=True)])
+
+    @pytest.mark.parametrize(
+        "flat, message",
+        [
+            ([3, 0, 1, 2], "view 1 edge (0, 0) is out of row-major order"),
+            ([0, 1, 1, 3], "view 1 edge (0, 1) is out of row-major order"),
+            ([-1, 0, 3], "view 1 edge (-1, 1) is out of row-major order or outside 2 x 2"),
+            ([0, 3, 4], "view 1 edge (2, 0) is out of row-major order or outside 2 x 2"),
+        ],
+        ids=["unsorted", "repeated", "negative", "too_large"],
+    )
+    def test_misplaced_edges_refused(self, flat, message):
+        views = [
+            graph_of(np.eye(2), renormalized=True),
+            Graph(2, np.array(flat), np.arange(1.0, len(flat) + 1), renormalized=True),
+        ]
+        with pytest.raises(ParameterError) as refused:
+            edge_support(views)
+        assert message in str(refused.value)
 
 
 def acceptance_instance():
@@ -83,7 +107,7 @@ def full_support_instance():
     views = []
     for _ in range(3):
         W = rng.uniform(0.05, 1.0, size=(m, m))
-        views.append(Graph(np.triu(W) + np.triu(W, 1).T, renormalized=True))
+        views.append(graph_of(np.triu(W) + np.triu(W, 1).T, renormalized=True))
     return views, rng.normal(size=(m, 6)), rng.integers(0, 4, size=m)
 
 

@@ -33,7 +33,7 @@ class TestPreparation:
         assert len(graphs) == len(dataset.views)
         for g in graphs:
             assert g.renormalized
-            assert g.adjacency.shape == (24, 24)
+            assert g.num_nodes == 24
 
     def test_feature_matrix_concatenates_standardized_views(self, dataset):
         H = feature_matrix(dataset)

@@ -13,10 +13,9 @@ from mvgcn.fusion import (
     normalize_weights,
     view_importance,
 )
-from mvgcn.graphs import Graph
 
 import oracles
-from dense_reference import complementary_graphs
+from dense_reference import complementary_graphs, dense_of, graph_of
 from gradcheck import finite_difference_check
 
 # the entry points that validate the views; each takes the mixing weights too
@@ -37,7 +36,7 @@ def random_views(rng, num_views, m):
     for _ in range(num_views):
         W = rng.uniform(size=(m, m))
         A = np.triu(W, 1) + np.triu(W, 1).T + np.diag(rng.uniform(0.1, 1.0, m))
-        views.append(Graph(A, renormalized=True))
+        views.append(graph_of(A, renormalized=True))
     return views
 
 
@@ -75,7 +74,7 @@ class TestComplementaryGraphs:
         tape = Tape()
         W = normalize_weights(tape.leaf(np.zeros((1, 1))))
         (out,) = complementary_graphs(views, W)
-        assert np.array_equal(out, views[0].adjacency)
+        assert np.array_equal(out, dense_of(views[0]))
 
     def test_selector_row_copies_one_view(self):
         rng = np.random.default_rng(2)
@@ -83,15 +82,15 @@ class TestComplementaryGraphs:
         tape = Tape()
         W = tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))
         outs = complementary_graphs(views, W)
-        assert np.array_equal(outs[0], views[0].adjacency)
-        assert np.array_equal(outs[1], views[1].adjacency)
+        assert np.array_equal(outs[0], dense_of(views[0]))
+        assert np.array_equal(outs[1], dense_of(views[1]))
 
     def test_random_case_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         views = random_views(rng, 3, 6)
         raw = rng.normal(size=(3, 3))
         _, comp_want, _, _ = oracles.fusion_chain(
-            [g.adjacency.tolist() for g in views], raw.tolist()
+            [dense_of(g).tolist() for g in views], raw.tolist()
         )
         tape = Tape()
         outs = complementary_graphs(views, normalize_weights(tape.leaf(raw)))
@@ -118,7 +117,7 @@ class TestComplementaryGraphs:
                 stage(views, W)
 
     def test_unrenormalized_views_rejected(self):
-        views = [Graph(np.zeros((3, 3)))]
+        views = [graph_of(np.zeros((3, 3)))]
         for stage in VIEW_STAGES:
             tape = Tape()
             with pytest.raises(ParameterError):
@@ -158,7 +157,7 @@ class TestFuse:
         rng = np.random.default_rng(6)
         views = random_views(rng, 2, 5)
         _, fused = fused_matrix(views, init_fusion_weights(2))
-        want = 0.5 * (views[0].adjacency + views[1].adjacency)
+        want = 0.5 * (dense_of(views[0]) + dense_of(views[1]))
         assert fused == pytest.approx(want, abs=1e-12)
 
     def test_identical_views_fuse_to_themselves(self):
@@ -166,14 +165,14 @@ class TestFuse:
         base = random_views(rng, 1, 4)[0]
         views = [base, base, base]
         _, fused = fused_matrix(views, rng.normal(size=(3, 3)))
-        assert fused == pytest.approx(base.adjacency, abs=1e-12)
+        assert fused == pytest.approx(dense_of(base), abs=1e-12)
 
     def test_random_case_matches_composed_oracle(self):
         rng = np.random.default_rng(8)
         views = random_views(rng, 3, 6)
         raw = rng.normal(size=(3, 3))
         _, _, _, fused_want = oracles.fusion_chain(
-            [g.adjacency.tolist() for g in views], raw.tolist()
+            [dense_of(g).tolist() for g in views], raw.tolist()
         )
         _, fused = fused_matrix(views, raw)
         assert fused == pytest.approx(np.array(fused_want), abs=1e-12)
@@ -223,7 +222,7 @@ class TestFusionProperties:
     def test_fused_entries_within_per_coordinate_view_range(self, seed):
         rng = np.random.default_rng(10 + seed)
         views = random_views(rng, 3, 5)
-        stack = np.stack([g.adjacency for g in views])
+        stack = np.stack([dense_of(g) for g in views])
         _, fused = fused_matrix(views, rng.normal(size=(3, 3)))
         assert np.all(fused >= stack.min(axis=0) - 1e-12)
         assert np.all(fused <= stack.max(axis=0) + 1e-12)

@@ -1,7 +1,8 @@
-"""The memory budget of training and scoring at m=800, counted in m x m
-float64 arrays (5.12 MB each) from ``tracemalloc``: how much ``train`` and
-``predict`` allocate above what their caller holds, and that the work
-arrays one training run reuses are the same memory in every epoch.
+"""The memory budget of preparing the graphs, training and scoring at
+m=800, counted in m x m float64 arrays (5.12 MB each) from ``tracemalloc``:
+how much ``prepare_graphs``, ``train`` and ``predict`` allocate above what
+their caller holds, what the prepared views hold, and that the work arrays
+one training run reuses are the same memory in every epoch.
 
 ``train`` needs 8 such arrays (S1, S2, their four Adam moments and their
 two gradients), plus refinement's run products, which share S1's gradient
@@ -62,6 +63,7 @@ def run():
         )
     snapshots.append(snapshot(supports[-1].buffers))
     return {
+        "dataset": dataset,
         "graphs": graphs,
         "features": features,
         "state": result.state,
@@ -70,6 +72,21 @@ def run():
         "snapshots": snapshots,
         "gradients": gradients,
     }
+
+
+def test_the_prepared_views_hold_under_one_mib(run):
+    # the edges of three views: about 0.56 MiB, against 14.65 MiB as three
+    # dense m x m arrays
+    held = sum(g.flat.nbytes + g.values.nbytes for g in run["graphs"])
+    assert held < 2**20
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_prepare_graphs_peaks_at_no_more_than_two_and_a_half_mxm_arrays(run, metric):
+    # the distances, their partitioned copy while the k-th column is read
+    # off it, then the masks of one view
+    _, peak = _traced(lambda: prepare_graphs(run["dataset"], 10, metric))
+    assert peak <= 2.5
 
 
 def test_train_peaks_at_no_more_than_twelve_mxm_arrays(run):

@@ -21,7 +21,7 @@ from mvgcn.data import SplitSpec, make_split, make_synthetic
 from mvgcn.errors import DataLoadError, ParameterError, ShapeError, TrainingError
 from mvgcn.experiment import feature_matrix, prepare_graphs
 from mvgcn.fusion import edge_support
-from mvgcn.graphs import Graph, build_knn_graph, renormalize
+from mvgcn.graphs import build_knn_graph, renormalize
 from mvgcn.model import (
     CHECKPOINT_SECTIONS,
     ModelState,
@@ -42,7 +42,7 @@ from mvgcn.model import (
 
 import dense_reference
 import oracles
-from dense_reference import on_support
+from dense_reference import dense_of, graph_of, on_support
 from gradcheck import finite_difference_check
 from kinkfree import smoothness_margin
 
@@ -165,9 +165,7 @@ class TestForward:
         assert np.all(Z > 0)
 
     def test_single_node_zero_weights_is_uniform(self):
-        from mvgcn.graphs import Graph
-
-        views = [Graph(np.ones((1, 1)), renormalized=True)]
+        views = [graph_of(np.ones((1, 1)), renormalized=True)]
         state = init_model(1, 1, 2, 3, 2, np.random.default_rng(0))
         for name in ("W1", "W2"):
             state.params[name][:] = 0.0
@@ -183,7 +181,7 @@ class TestForward:
 
         Z = predict(state, graphs, features, gamma=gamma, tau=tau)
 
-        adj_lists = [g.adjacency.tolist() for g in graphs]
+        adj_lists = [dense_of(g).tolist() for g in graphs]
         _, _, _, fused = oracles.fusion_chain(adj_lists, state.params["raw_weights"].tolist())
         refined = oracles.refine(
             fused, state.params["S1"].tolist(), state.params["S2"].tolist(), gamma
@@ -272,7 +270,7 @@ class TestForward:
             state.first_moment,
             state.second_moment,
         )
-        views = [Graph(g.adjacency[np.ix_(perm, perm)], renormalized=True) for g in graphs]
+        views = [graph_of(dense_of(g)[np.ix_(perm, perm)], renormalized=True) for g in graphs]
         settings = {"dns_mode": "off", "use_glm": use_glm}
         Z = predict(state, graphs, features, **settings)
         Z_relabeled = predict(relabeled, views, features[perm], **settings)

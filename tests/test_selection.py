@@ -13,7 +13,6 @@ from mvgcn.data import make_synthetic
 from mvgcn.errors import DomainError, ParameterError, ShapeError
 from mvgcn.experiment import prepare_graphs
 from mvgcn.fusion import edge_support
-from mvgcn.graphs import EdgeSupport
 from mvgcn.selection import (
     column_mean_nonzero,
     confidence_coefficients,
@@ -29,7 +28,7 @@ from mvgcn.selection import (
 
 import dense_reference
 import oracles
-from dense_reference import on_support
+from dense_reference import on_support, support_of
 from gradcheck import finite_difference_check
 
 finite_scores = st.lists(
@@ -613,7 +612,7 @@ class TestHardTopK:
         rng = np.random.default_rng(seed)
         m = 30
         upper = np.triu(rng.uniform(size=(m, m)) < 0.2, 1)
-        support = EdgeSupport.of([upper | upper.T | np.eye(m, dtype=bool)])
+        support = support_of(upper | upper.T | np.eye(m, dtype=bool))
         edges = rng.integers(0, 3, size=(1, support.nnz)).astype(float)
         edges[0, rng.uniform(size=support.nnz) < 0.3] = 0.0
         for k in (1, 2, 5, 10, m):
